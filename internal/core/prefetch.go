@@ -97,10 +97,9 @@ func (w *specWalk) fetch(p nav.ID) error {
 	return err
 }
 
-// drill explores the subtree under p: its label, then — deep — every
-// descendant, or — shallow — only its immediate children's labels (the
-// two levels a glancing client looks at).
-func (w *specWalk) drill(p nav.ID, deep bool) error {
+// drill explores the whole subtree under p: its label, then every
+// descendant in document order.
+func (w *specWalk) drill(p nav.ID) error {
 	if err := w.fetch(p); err != nil {
 		return err
 	}
@@ -112,11 +111,7 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 		return err
 	}
 	for c != nil {
-		if deep {
-			if err := w.drill(c, true); err != nil {
-				return err
-			}
-		} else if err := w.fetch(c); err != nil {
+		if err := w.drill(c); err != nil {
 			return err
 		}
 		if err := w.check(); err != nil {
@@ -131,9 +126,10 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 
 // PrefetchRegion speculatively explores the region-th top-level subtree
 // of the query's answer document — deep (the whole subtree) or shallow
-// (the subtree's top two levels) — publishing what it sees through the
-// normal region-cache path, so the exact-match, L2, and semantic layers
-// all serve it to later demand. The entry it publishes into is opened
+// (the region top's label only: a client that engages a region without
+// descending reads nothing else, since any descent is a drill) —
+// publishing what it sees through the normal region-cache path, so the
+// exact-match, L2, and semantic layers all serve it to later demand. The entry it publishes into is opened
 // speculatively (regioncache.EntryAtSpeculative): separately accounted
 // and evicted first under pressure until demand promotes it.
 //
@@ -207,7 +203,10 @@ func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budge
 			// which is itself useful structure.
 			return nil
 		}
-		return w.drill(cur, deep)
+		if deep {
+			return w.drill(cur)
+		}
+		return w.fetch(cur)
 	}()
 
 	res := PrefetchResult{Navs: local.Navigations(), Bytes: w.bytes}

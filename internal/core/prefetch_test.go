@@ -180,3 +180,51 @@ func TestPrefetchRequiresCacheName(t *testing.T) {
 		t.Fatal("uncached query accepted a prefetch")
 	}
 }
+
+// TestPrefetchShallowTopOnly: a shallow drain over the join view warms
+// exactly the region top's label — all a client that engages a region
+// without descending reads, since any descent is a drill — and issues
+// no navigation below it. A later glance of the region is a pure cache
+// hit; the first step below its top is still a miss.
+func TestPrefetchShallowTopOnly(t *testing.T) {
+	cache := regioncache.New(0)
+	eng, q, src := prefetchRig(t, cache)
+	spec := &metrics.Counters{}
+	res, err := q.PrefetchRegion(context.Background(), 1, false, PrefetchBudget{}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root, d to region 0, r to region 1, f of its top: nothing else.
+	if res.Navs != 4 || spec.Fetch.Load() != 1 || spec.Down.Load() != 1 || spec.Right.Load() != 1 {
+		t.Fatalf("shallow drain navigated beyond the region top: %+v, counters %+v", res, spec.Snapshot())
+	}
+
+	q2, err := eng.Compile(workload.HomesSchoolsPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2.SetCacheName("homes")
+	doc := q2.Document()
+	before, st := src.Navigations(), cache.Stats()
+	root, _ := doc.Root()
+	cur, _ := doc.Down(root)
+	cur, _ = doc.Right(cur)
+	label, err := doc.Fetch(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if label != "med_home" {
+		t.Fatalf("region 1 top label %q, want med_home", label)
+	}
+	after := cache.Stats()
+	if navs := src.Navigations() - before; navs != 0 || after.Misses != st.Misses || after.Hits-st.Hits != 3 {
+		t.Fatalf("glance of the warmed region: %d source navs, %d hits, %d misses; want 0, 3, 0",
+			navs, after.Hits-st.Hits, after.Misses-st.Misses)
+	}
+	if _, err := doc.Down(cur); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Stats().Misses == after.Misses {
+		t.Fatal("the shallow drain published structure below the region top")
+	}
+}

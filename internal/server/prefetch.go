@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mix/internal/core"
+	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/predict"
 	"mix/internal/regioncache"
@@ -65,8 +67,20 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	running map[predict.Key]*specRun
-	pool    []*pooledEngine // spec engines; separate from the demand pool
+	pool    []*specEngine // idle spec engines, oldest first; separate from the demand pool
 	closed  bool
+}
+
+// specEngine is a speculative engine plus the compiled query of the
+// view key it last drained. Successive drains of one view (a session
+// engaging region after region) resume that query instead of compiling
+// afresh: its memoized streams make the root→d→r^k prefix replay of
+// the next region's cache miss pointer-walking, where a fresh plan
+// would re-derive regions 0..k (and rebuild any hash index) first.
+type specEngine struct {
+	*pooledEngine
+	key predict.Key
+	res *mediator.Result // nil: nothing parked
 }
 
 func newPrefetcher(s *Server) *prefetcher {
@@ -138,24 +152,31 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 		p.mu.Unlock()
 		p.inflight.Add(-1)
 	}()
-	pe, err := p.acquireSpec()
+	se, err := p.acquireSpec(k)
 	if err != nil {
 		return
 	}
-	defer p.releaseSpec(pe)
-	res, err := pe.med.Query(query)
-	if err != nil {
-		return
-	}
-	// The freshly compiled query must land on the exact key predicted.
-	// A mismatch means the cache generation or source registry moved
-	// between prediction and drain — warming under the new key would be
-	// warming a region nobody predicted, so the hint is simply stale.
-	if res.RegionKey() != cacheKey(k) {
-		return
+	defer p.releaseSpec(se)
+	res := se.res
+	if res == nil || se.key != k {
+		if res, err = se.med.Query(query); err != nil {
+			return
+		}
+		// The freshly compiled query must land on the exact key
+		// predicted. A mismatch means the cache generation or source
+		// registry moved between prediction and drain — warming under
+		// the new key would be warming a region nobody predicted, so the
+		// hint is simply stale.
+		if res.RegionKey() != cacheKey(k) {
+			return
+		}
+		se.key, se.res = k, res
 	}
 	r, err := res.PrefetchRegion(ctx, region, deep, p.budget, &p.navs)
 	if err != nil {
+		// A failed navigation may be memoized inside the query's
+		// streams; never resume from it.
+		se.res = nil
 		return
 	}
 	if r.Cancelled {
@@ -177,9 +198,9 @@ func (p *prefetcher) cancelDemand(k predict.Key, region int) {
 }
 
 // epochMoved reacts to a registry bump or fleet invalidation: every
-// running drain is cancelled, the spec engine pool is flushed (its
-// engines were built against the old sources), and successor tables for
-// dead generations are evicted.
+// running drain is cancelled, the spec engine pool is flushed with the
+// queries parked on it (its engines were built against the old
+// sources), and successor tables for dead generations are evicted.
 func (p *prefetcher) epochMoved() {
 	p.mu.Lock()
 	for _, r := range p.running {
@@ -204,17 +225,21 @@ func (p *prefetcher) close() {
 	p.mu.Unlock()
 }
 
-// acquireSpec pops an idle speculative engine or builds one from the
-// spec factory. Deliberately separate from Server.acquireEngine: spec
-// checkouts must not move the mix_engine_pool_* gauges, and spec
-// engines carry spec-tagged recorders from birth.
-func (p *prefetcher) acquireSpec() (*pooledEngine, error) {
+// acquireSpec takes an idle speculative engine — the one whose parked
+// query belongs to view key k if there is one, else the one idle
+// longest, so the parked queries that survive are the recently used
+// ones — or builds one from the spec factory. Deliberately separate
+// from Server.acquireEngine: spec checkouts must not move the
+// mix_engine_pool_* gauges, and spec engines carry spec-tagged
+// recorders from birth.
+func (p *prefetcher) acquireSpec(k predict.Key) (*specEngine, error) {
 	p.mu.Lock()
-	if n := len(p.pool); n > 0 {
-		pe := p.pool[n-1]
-		p.pool = p.pool[:n-1]
+	if len(p.pool) > 0 {
+		i := max(slices.IndexFunc(p.pool, func(se *specEngine) bool { return se.key == k }), 0)
+		se := p.pool[i]
+		p.pool = slices.Delete(p.pool, i, i+1)
 		p.mu.Unlock()
-		return pe, nil
+		return se, nil
 	}
 	p.mu.Unlock()
 	epoch := p.srv.epoch.Load()
@@ -235,22 +260,20 @@ func (p *prefetcher) acquireSpec() (*pooledEngine, error) {
 		pe.rec = rec
 		m.SetTracer(rec)
 	}
-	return pe, nil
+	return &specEngine{pooledEngine: pe}, nil
 }
 
-// releaseSpec parks a speculative engine for reuse (dropping it when
-// the server epoch moved past it, exactly like the demand pool).
-func (p *prefetcher) releaseSpec(pe *pooledEngine) {
-	if pe == nil {
-		return
-	}
-	pe.rec.Take() // discard accumulated spec spans
-	if pe.epoch != p.srv.epoch.Load() {
+// releaseSpec parks a speculative engine, with its query, for reuse
+// (dropping both when the server epoch moved past the engine, exactly
+// like the demand pool).
+func (p *prefetcher) releaseSpec(se *specEngine) {
+	se.rec.Take() // discard accumulated spec spans
+	if se.epoch != p.srv.epoch.Load() {
 		return
 	}
 	p.mu.Lock()
 	if !p.closed {
-		p.pool = append(p.pool, pe)
+		p.pool = append(p.pool, se)
 	}
 	p.mu.Unlock()
 }
@@ -269,8 +292,8 @@ func (p *prefetcher) maybeHint(k predict.Key, query string, region int, deep boo
 	}
 	p.hintsSent.Add(1)
 	cl.SendPrefetchHint(owner, vxdp.PrefetchHint{
-		Query: query,
-		Key:   vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint},
+		Query:  query,
+		Key:    vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint},
 		Region: region,
 		Deep:   deep,
 	})

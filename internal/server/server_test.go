@@ -214,6 +214,65 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdownRacesRequests races Shutdown against a client
+// issuing back-to-back requests, so the wake-up deadline Shutdown sets
+// lands at every point of the session loop — including between a
+// flushed response and the re-arm of the next read, where a session
+// that clears its deadline would block until Shutdown's context
+// expired. Run with -race.
+func TestGracefulShutdownRacesRequests(t *testing.T) {
+	homes, schools := workload.HomesSchools(4, 4, 2, 5)
+	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+		m := mediator.New(mediator.DefaultOptions())
+		m.RegisterTree("homesSrc", homes)
+		m.RegisterTree("schoolsSrc", schools)
+		return m, nil
+	}
+	const iterations = 60
+	for i := 0; i < iterations; i++ {
+		srv, err := server.New(factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(l) }()
+		c, err := vxdp.Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinged := make(chan struct{})
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for n := 0; ; n++ {
+				if _, err := c.Ping(); err != nil {
+					return
+				}
+				if n == 0 {
+					close(pinged)
+				}
+			}
+		}()
+		<-pinged
+		time.Sleep(time.Duration(i%4) * 50 * time.Microsecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err = srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: shutdown: %v", i, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("iteration %d: Serve returned %v after clean shutdown", i, err)
+		}
+		<-stopped
+		c.Close()
+	}
+}
+
 // TestConcurrentSessionsShareNothing: many goroutines navigate
 // per-session views at different paces; every one sees the full,
 // correct answer (single-consumer lazy streams are session-private).

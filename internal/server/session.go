@@ -123,6 +123,12 @@ func cmdLabel(op string) string {
 }
 
 // arm sets the read deadline from the idle and lifetime timeouts.
+// Shutdown wakes sessions by setting an immediate read deadline after
+// it marks the server draining; an arm that lands after that wake-up
+// would overwrite it (with no idle timeout, clear it) and leave the
+// session blocked in ReadFrame. So arm re-checks draining after its
+// own write: either Shutdown's deadline came last, or arm sees the
+// flag and wakes the session itself.
 func (s *session) arm() {
 	var dl time.Time
 	if t := s.srv.cfg.IdleTimeout; t > 0 {
@@ -134,6 +140,9 @@ func (s *session) arm() {
 		}
 	}
 	_ = s.conn.SetReadDeadline(dl)
+	if s.srv.drainingNow() {
+		_ = s.conn.SetReadDeadline(time.Now())
+	}
 }
 
 // sourceStats converts the mediator's per-source buffer accounting into

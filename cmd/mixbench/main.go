@@ -43,12 +43,7 @@ func main() {
 	semanticOnly := flag.Bool("semantic", false, "run only the semantic region cache experiment (E18)")
 	persona := flag.String("persona", "", "run only the speculative prefetch experiment (E19) under this client persona (deep-drill, glance, select-heavy)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
-	batch := flag.Int("batch", 0, "override the batch width of the vectorized pipeline runs (0 = default, <=1 = scalar)")
 	flag.Parse()
-
-	if *batch != 0 {
-		experiments.SetBatchSize(*batch)
-	}
 
 	ids := experiments.IDs()
 	if *clusterOnly {

@@ -67,7 +67,6 @@ import (
 	"mix/internal/relational"
 	"mix/internal/server"
 	"mix/internal/telemetry"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/wrapper"
 	"mix/internal/xmltree"
@@ -107,12 +106,8 @@ func main() {
 	slowRing := flag.Int("slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
 	cacheMax := flag.Int64("cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
 	cacheOff := flag.Bool("cache-off", false, "disable the cross-session region cache entirely")
-	hashJoin := flag.Bool("hash-join", true, "compile equi-joins to the incremental hash join (false = always nested loops)")
-	fingerprints := flag.Bool("fingerprints", true, "key equality-heavy operators by structural fingerprints instead of canonical strings (false = historical behavior)")
-	wireOpt := flag.Bool("wire-opt", true, "pooled frame buffers and the lean LXP codec (false = per-frame allocation, generic encoding/json)")
 	parallelJoin := flag.Bool("parallel-join", false, "derive the two inputs of multi-source joins concurrently (trades lazy exploration for latency overlap)")
 	lxpBatch := flag.Int("lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
-	batchSize := flag.Int("batch", core.DefaultBatchSize, "move up to this many bindings per operator pull (<=1 = scalar binding-at-a-time pipeline)")
 	semanticCache := flag.Bool("semantic-cache", true, "answer named queries from subsuming cached plans via containment (false = exact fingerprint matches only)")
 	prefetchOn := flag.Bool("prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
 	prefetchBudget := flag.Int64("prefetch-budget", server.DefaultPrefetchNavs, "navigation budget per speculative drain (0 = default)")
@@ -172,14 +167,9 @@ func main() {
 	}
 
 	mopts := mediator.DefaultOptions()
-	mopts.Engine.HashJoin = *hashJoin
 	mopts.Engine.Parallel = *parallelJoin
-	mopts.Engine.Fingerprints = *fingerprints
-	mopts.Engine.BatchSize = *batchSize
 	mopts.Engine.SemanticCache = *semanticCache
 	mopts.LXPBatch = *lxpBatch
-	lxp.SetWireOptimizations(*wireOpt)
-	vxdp.SetPooledBuffers(*wireOpt)
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
 		// Cache before sources, so LXP prefetch fills publish into it.

@@ -43,6 +43,13 @@ import (
 // needs it, by logging batches into an append-only batchLog (the top
 // adapter, the nested-loops inner input, the groupBy input). Everything
 // else runs log-free.
+//
+// The batch pipeline serves every configuration with the three operator
+// caches on, at any width; width 1 is one binding per pull. The scalar
+// pipeline remains only as the evaluator of the cache ablations (E6,
+// E7, E9): with GroupCache off, a group's member list re-walks the
+// input from the group head through a persistent, unmemoized tail,
+// which linear cursors cannot resume mid-stream without a log.
 
 // bcursor is the batch-at-a-time operator output: bnext returns between
 // 1 and max(want,1) bindings, or (nil, nil) at end of input, or

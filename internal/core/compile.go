@@ -151,8 +151,20 @@ type Query struct {
 }
 
 // Compile validates the plan and compiles it into a tree of lazy
-// mediators. No source is accessed.
+// mediators. No source is accessed. With every operator cache on the
+// plan compiles to the batch pipeline at the configured width; a cache
+// ablation compiles it to the scalar evaluator (see Options).
 func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
+	width := 0
+	if e.opts.batchMode() {
+		width = max(e.opts.BatchSize, 1)
+	}
+	return e.compileAt(plan, width)
+}
+
+// compileAt compiles plan through the batch pipeline at the given
+// width, or through the scalar evaluator when width is 0.
+func (e *Engine) compileAt(plan algebra.Op, width int) (*Query, error) {
 	if err := algebra.Validate(plan); err != nil {
 		return nil, err
 	}
@@ -162,12 +174,9 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 		}
 	}
 	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
-	c := &compiler{e: e}
+	c := &compiler{e: e, batch: width}
 	if e.opts.Fingerprints {
 		c.ks = newKeyspace()
-	}
-	if e.opts.batchMode() {
-		c.batch = e.opts.BatchSize
 	}
 	if td, ok := plan.(*algebra.TupleDestroy); ok {
 		inb, err := c.compileTop(td.Input)
@@ -832,6 +841,9 @@ func asSourceBacked(v Node) (sourceBacked, bool) {
 	}
 }
 
+// compileJoin is the scalar join of the cache ablations: the paper's
+// nested loops, run serially. HashJoin and Parallel are fast paths of
+// the cached pipeline (compileBJoin) and do not apply here.
 func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 	left, err := c.compile(op.Left)
 	if err != nil {
@@ -843,16 +855,6 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 	}
 	cond := op.Cond
 	cache := c.e.opts.JoinCache
-	if c.e.opts.Parallel && cache {
-		if l, r, ok := c.e.parallelPair(op, left, right); ok {
-			left, right = l, r
-		}
-	}
-	if c.e.opts.HashJoin && cache {
-		if lk, rk, ok := equiJoinKeys(op); ok {
-			return c.compileHashJoin(cond, lk, rk, left, right), nil
-		}
-	}
 	return func() (stream, error) {
 		ls, err := left()
 		if err != nil {

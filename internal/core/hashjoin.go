@@ -21,8 +21,8 @@ import (
 // same (outer-major, inner-order) order nested loops produces.
 //
 // Laziness is preserved the same way the memoized inner cache preserves
-// it: the index ingests the inner stream one binding at a time, only
-// when a probe exhausts the already-indexed prefix of its bucket. A
+// it: the index ingests the inner stream one pull at a time, only when a
+// probe exhausts the already-indexed prefix of its bucket. A
 // query whose client never forces the join never builds the index; a
 // client that stops after the first answer indexes only as much of the
 // inner input as that answer needed.
@@ -91,78 +91,6 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 		raw = atomFP(t).AppendKey(raw)
 	}
 	return string(raw), nil
-}
-
-// hashIndex is the incrementally-built index over the inner stream. It
-// is shared, mutable state behind the persistent probe streams — safe
-// because buckets only ever grow, in inner-stream order, so replaying a
-// probe stream re-reads a (possibly longer) prefix of the same bucket.
-type hashIndex struct {
-	inner   stream // unconsumed remainder of the inner stream; nil when done
-	keys    []string
-	keyFn   func(*binding, []string) (string, error) // atomKey or atomKeyFP
-	buckets map[string][]*binding
-	done    bool
-}
-
-// advance ingests one more inner binding into the index, reporting
-// whether there was one.
-func (h *hashIndex) advance() (bool, error) {
-	if h.done {
-		return false, nil
-	}
-	b, rest, err := h.inner.next()
-	if err != nil {
-		return false, err
-	}
-	if b == nil {
-		h.done, h.inner = true, nil
-		return false, nil
-	}
-	k, err := h.keyFn(b, h.keys)
-	if err != nil {
-		return false, err
-	}
-	h.buckets[k] = append(h.buckets[k], b)
-	h.inner = rest
-	return true, nil
-}
-
-// hashProbeStream yields the join pairs for one outer binding: the
-// bucket entries matching its key, filtered by the full condition, with
-// the index advanced on demand when the indexed prefix runs out.
-type hashProbeStream struct {
-	idx  *hashIndex
-	lb   *binding
-	key  string
-	pos  int // next unexamined position in the bucket
-	cond algebra.Cond
-}
-
-func (p hashProbeStream) next() (*binding, stream, error) {
-	pos := p.pos
-	for {
-		bucket := p.idx.buckets[p.key]
-		for pos < len(bucket) {
-			merged := merge(p.lb, bucket[pos])
-			pos++
-			ok, err := p.cond.Eval(merged)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				rest := hashProbeStream{idx: p.idx, lb: p.lb, key: p.key, pos: pos, cond: p.cond}
-				return merged, rest, nil
-			}
-		}
-		more, err := p.idx.advance()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !more {
-			return nil, nil, nil
-		}
-	}
 }
 
 // compileBJoin is the batch-mode join: hash equi-join over batches when
@@ -290,9 +218,11 @@ func (j *nlJoinBCursor) fail(err error) ([]*binding, error) {
 	return nil, err
 }
 
-// bHashIndex is hashIndex over batches: each advance ingests one inner
-// batch — a whole bnext pull plus a keying loop per call instead of one
-// binding — and the inner input is derived only on first demand.
+// bHashIndex is the incrementally-built index over the inner input:
+// each advance ingests one inner batch — a whole bnext pull plus a
+// keying loop — and the inner input is derived only on first demand.
+// Buckets only ever grow, in inner-input order, so every probe of the
+// shared index re-reads a (possibly longer) prefix of the same bucket.
 type bHashIndex struct {
 	right   bbuilder
 	src     bcursor // nil until first advance, nil again when done
@@ -431,30 +361,4 @@ func (c *bHashJoinCursor) fail(err error) ([]*binding, error) {
 		return c.obuf, nil
 	}
 	return nil, err
-}
-
-// compileHashJoin builds the hash equi-join stream: outer bindings flow
-// through unchanged, each expanding into a probe of the shared index.
-// The index itself plays the role of the memoized inner cache, so the
-// inner input is derived at most once per join stream.
-func (c *compiler) compileHashJoin(cond algebra.Cond, leftKeys, rightKeys []string, left, right builder) builder {
-	keyFn := atomKey
-	if c.e.opts.Fingerprints {
-		keyFn = atomKeyFP
-	}
-	return func() (stream, error) {
-		ls, err := left()
-		if err != nil {
-			return nil, err
-		}
-		idx := &hashIndex{inner: deferStream(right), keys: rightKeys, keyFn: keyFn,
-			buckets: map[string][]*binding{}}
-		return flatMapStream{in: ls, fn: func(lb *binding) (stream, error) {
-			k, err := keyFn(lb, leftKeys)
-			if err != nil {
-				return nil, err
-			}
-			return hashProbeStream{idx: idx, lb: lb, key: k, cond: cond}, nil
-		}}, nil
-	}
 }

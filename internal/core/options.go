@@ -20,18 +20,18 @@ import (
 //   - NativeSelect — the select(σ) command is part of NC and pushed to
 //     the sources, upgrading label selections from browsable to
 //     bounded browsable (Section 2, Example 1). E3 toggles it.
-//   - HashJoin — joins whose condition implies a variable equality
-//     (Cond.EquiKeys) probe an incrementally-built hash index over the
-//     inner stream instead of scanning it per outer binding; the index
-//     grows only as far as probing forces the inner stream, so laziness
-//     is preserved. Requires JoinCache (the index memoizes the inner
-//     derivation); non-equi conditions fall back to nested loops.
-//   - Parallel — joins whose two inputs read disjoint source sets
-//     derive both inputs concurrently (bounded worker pool, first error
-//     cancels the sibling). The inputs are drained eagerly when the
-//     join is first pulled, trading input laziness for wall-clock
-//     overlap of the sources' round trips; see parallel.go. Requires
-//     JoinCache (the drained inputs are replayed like the inner cache).
+//   - HashJoin — in the cached pipeline (see BatchSize), joins whose
+//     condition implies a variable equality (Cond.EquiKeys) probe an
+//     incrementally-built hash index over the inner stream instead of
+//     scanning it per outer binding; the index grows only as far as
+//     probing forces the inner stream, so laziness is preserved.
+//     Non-equi conditions fall back to nested loops.
+//   - Parallel — in the cached pipeline, joins whose two inputs read
+//     disjoint source sets derive both inputs concurrently (bounded
+//     worker pool, first error cancels the sibling). The inputs are
+//     drained eagerly when the join is first pulled, trading input
+//     laziness for wall-clock overlap of the sources' round trips; see
+//     parallel.go.
 //   - Fingerprints — equality-heavy operators (distinct, groupBy,
 //     difference, hash-join buckets) key on memoized 128-bit structural
 //     fingerprints instead of canonical subtree strings, and
@@ -40,18 +40,21 @@ import (
 //     fingerprint collisions fall back to full structural comparison
 //     (see keyspace.go), and the DFA is observationally equivalent to
 //     the NFA. Off reproduces the pre-fingerprint behavior exactly.
-//   - BatchSize — operators exchange slices of up to BatchSize bindings
-//     per call instead of one binding per call (see batch.go). The lazy
+//   - BatchSize — the width of the operator pipeline: operators
+//     exchange slices of up to BatchSize bindings per call (see
+//     batch.go); values below 1 mean 1, one binding per pull. The lazy
 //     navigation contract lives at the answer-document boundary, where
 //     the batch-to-scalar adapter pulls single bindings on client
 //     demand, so answers, client commands, and per-source navigation
-//     counts are byte-identical to the scalar pipeline; whole-batch
-//     execution kicks in on full drains (Materialize, orderBy and
-//     difference inputs, parallel derivation). BatchSize <= 1
-//     reproduces the scalar binding-at-a-time pipeline exactly, and the
-//     batch pipeline also requires the three operator caches (an
-//     ablated cache implies per-outer re-derivation, which is a
-//     binding-at-a-time contract).
+//     counts are byte-identical at every width; whole-batch execution
+//     kicks in on full drains (Materialize, orderBy and difference
+//     inputs, parallel derivation). The width never selects a pipeline.
+//     The three operator caches do: with all of them on, a plan
+//     compiles to the batch pipeline; with any of them off, it compiles
+//     to the scalar binding-at-a-time evaluator, whose per-outer
+//     re-derivation is what the E6/E7/E9 ablations measure. There, a
+//     join runs the paper's nested loops serially, whatever HashJoin
+//     and Parallel say.
 //   - SemanticCache — with a region cache installed, a named query whose
 //     plan is *subsumed* by another cached plan (same view, weaker
 //     σ-conditions / wider paths: see algebra.Analyze and DESIGN.md §14)
@@ -87,9 +90,10 @@ func DefaultOptions() Options {
 }
 
 // batchMode reports whether the batch pipeline serves this
-// configuration; see the BatchSize doc above for why the caches gate it.
+// configuration: every operator cache on. An ablated cache implies
+// per-outer re-derivation, which is the scalar evaluator's contract.
 func (o Options) batchMode() bool {
-	return o.BatchSize > 1 && o.JoinCache && o.PathCache && o.GroupCache
+	return o.JoinCache && o.PathCache && o.GroupCache
 }
 
 // Option configures an Engine under construction (see New).
@@ -100,35 +104,6 @@ type Option func(*Options)
 // disables every cache and fast path — the paper's fully naive
 // evaluator — exactly like the pre-options literal did.
 func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
-
-// WithJoinCache toggles the nested-loops inner cache (E6 ablation).
-func WithJoinCache(on bool) Option { return func(o *Options) { o.JoinCache = on } }
-
-// WithPathCache toggles getDescendants memoization (E7 ablation).
-func WithPathCache(on bool) Option { return func(o *Options) { o.PathCache = on } }
-
-// WithGroupCache toggles groupBy's Gprev value-list caches (E9 ablation).
-func WithGroupCache(on bool) Option { return func(o *Options) { o.GroupCache = on } }
-
-// WithNativeSelect toggles pushing select(σ) to the sources (E3).
-func WithNativeSelect(on bool) Option { return func(o *Options) { o.NativeSelect = on } }
-
-// WithHashJoin toggles the hash equi-join fast path.
-func WithHashJoin(on bool) Option { return func(o *Options) { o.HashJoin = on } }
-
-// WithParallel toggles concurrent derivation of disjoint join inputs.
-func WithParallel(on bool) Option { return func(o *Options) { o.Parallel = on } }
-
-// WithFingerprints toggles fingerprint keys and the lazy path DFA.
-func WithFingerprints(on bool) Option { return func(o *Options) { o.Fingerprints = on } }
-
-// WithSemanticCache toggles answering navigations from subsuming cached
-// regions via plan containment (the E18 ablation).
-func WithSemanticCache(on bool) Option { return func(o *Options) { o.SemanticCache = on } }
-
-// WithBatchSize sets the batch width of the vectorized pipeline
-// (n <= 1 selects the scalar binding-at-a-time pipeline).
-func WithBatchSize(n int) Option { return func(o *Options) { o.BatchSize = n } }
 
 // New returns an Engine configured by the given options, applied over
 // DefaultOptions. New() is the all-defaults engine; New(WithOptions(o))

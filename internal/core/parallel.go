@@ -14,7 +14,7 @@ import (
 // A join whose two inputs read *disjoint* source sets spends its
 // round-trip latency serially under lazy evaluation: the outer input is
 // pulled, then the inner, each waiting on its own sources. When
-// Options.Parallel is set, compileJoin wraps such inputs so that the
+// Options.Parallel is set, compileBJoin wraps such inputs so that the
 // first pull of either drains both concurrently — two goroutines behind
 // a bounded worker pool, first error cancelling the sibling — and the
 // join then runs over the drained, replayable slices. The trade is
@@ -33,14 +33,7 @@ import (
 // submitting goroutine — never queued — so nested parallel joins cannot
 // deadlock the pool. Tests may swap the pool out; the package init
 // sizes it to the machine.
-var parallelWorkers chan struct{} = make(chan struct{}, maxInt(2, runtime.GOMAXPROCS(0)))
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+var parallelWorkers chan struct{} = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 
 // Package-wide counters for the parallel paths, exposed on the daemon's
 // /metrics as mix_parallel_*.
@@ -105,106 +98,13 @@ func trySubmit(fn func()) bool {
 	}
 }
 
-// parallelPair wraps the compiled inputs of op so that forcing either
+// parallelBPair wraps the compiled inputs of op so that forcing either
 // side drains both concurrently (once — the results replay, like the
-// join's inner cache). ok is false when the inputs do not read disjoint
-// non-empty source sets, in which case derivation order stays serial:
-// overlapping sources would hand the same unsynchronized document and
-// lazy plan state to both goroutines.
-func (e *Engine) parallelPair(op *algebra.Join, left, right builder) (builder, builder, bool) {
-	ls, rs := algebra.Sources(op.Left), algebra.Sources(op.Right)
-	if len(ls) == 0 || len(rs) == 0 {
-		return nil, nil, false
-	}
-	seen := varSet(ls)
-	for _, s := range rs {
-		if seen[s] {
-			return nil, nil, false
-		}
-	}
-	pd := &parallelDrain{eng: e, left: left, right: right}
-	lb := func() (stream, error) {
-		pd.once.Do(pd.run)
-		if pd.lerr != nil {
-			return nil, pd.lerr
-		}
-		return sliceStream(pd.lres), nil
-	}
-	rb := func() (stream, error) {
-		pd.once.Do(pd.run)
-		if pd.rerr != nil {
-			return nil, pd.rerr
-		}
-		return sliceStream(pd.rres), nil
-	}
-	return lb, rb, true
-}
-
-// parallelDrain holds the once-drained inputs of one parallel join.
-type parallelDrain struct {
-	eng         *Engine
-	left, right builder
-
-	once       sync.Once
-	lres, rres []*binding
-	lerr, rerr error
-}
-
-func (pd *parallelDrain) run() {
-	parJoins.Add(1)
-	sp := pd.eng.tracer.Begin("parallel", "derive-inputs")
-	defer pd.eng.tracer.End(sp)
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	var wg sync.WaitGroup
-	side := func(b builder, res *[]*binding, errp *error) {
-		defer wg.Done()
-		*res, *errp = drainCtx(ctx, b)
-		if *errp != nil {
-			if context.Cause(ctx) == *errp {
-				parCanceled.Add(1)
-			} else {
-				parErrors.Add(1)
-			}
-			cancel(*errp) // no-op if the sibling already cancelled
-		}
-	}
-	wg.Add(2)
-	submit(func() { side(pd.left, &pd.lres, &pd.lerr) })
-	submit(func() { side(pd.right, &pd.rres, &pd.rerr) })
-	wg.Wait()
-	pd.left, pd.right, pd.eng = nil, nil, nil
-}
-
-// drainCtx drains the stream b builds, checking for cancellation
-// between pulls; a cancelled drain returns the cancellation cause (the
-// sibling side's error).
-func drainCtx(ctx context.Context, b builder) ([]*binding, error) {
-	s, err := b()
-	if err != nil {
-		return nil, err
-	}
-	var out []*binding
-	for {
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		h, t, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return out, nil
-		}
-		out = append(out, h)
-		s = t
-	}
-}
-
-// parallelBPair is parallelPair for the batch pipeline: forcing either
-// side drains both concurrently, one batch per scheduling quantum, with
-// the work-stealing handoff of parallelBDrain. The disjoint-sources
-// gate is identical to the scalar path.
+// join's inner cache), one batch per scheduling quantum, with the
+// work-stealing handoff of parallelBDrain. ok is false when the inputs
+// do not read disjoint non-empty source sets, in which case derivation
+// order stays serial: overlapping sources would hand the same
+// unsynchronized document and lazy plan state to both goroutines.
 func (e *Engine) parallelBPair(op *algebra.Join, left, right bbuilder, batch int) (bbuilder, bbuilder, bool) {
 	ls, rs := algebra.Sources(op.Left), algebra.Sources(op.Right)
 	if len(ls) == 0 || len(rs) == 0 {

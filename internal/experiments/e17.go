@@ -11,23 +11,17 @@ import (
 	"mix/internal/xmltree"
 )
 
-// batchWidth is the batch width E17's vectorized run uses; mixbench
-// -batch overrides it through SetBatchSize.
-var batchWidth = core.DefaultBatchSize
-
-// SetBatchSize overrides the batch width used by the vectorized runs of
-// the experiment suite (n <= 1 measures the scalar pipeline against
-// itself; the identity rows still must hold).
-func SetBatchSize(n int) { batchWidth = n }
-
 // E17BatchPipeline measures what vectorization buys on the pipeline's
 // own bookkeeping: the same warm-drain equi-join workload as E13's hash
 // join case (300 homes × 300 schools, full materialization), run
-// binding-at-a-time vs. batch-at-a-time. The per-binding interpreter
-// costs — one traced stream step per binding per operator, plus the
-// join-condition evaluations — collapse when each pull moves a whole
-// batch, while the navigation-driven contract stays untouched: same
-// answer bytes, same source navigations, same condition evaluations.
+// binding-at-a-time vs. batch-at-a-time. Both runs use the one cached
+// pipeline: the "scalar" column is width 1, one binding per pull, and
+// the "batch" column is core.DefaultBatchSize. The per-binding
+// interpreter costs — one traced stream step per binding per operator,
+// plus the join-condition evaluations — collapse when each pull moves a
+// whole batch, while the navigation-driven contract stays untouched:
+// same answer bytes, same source navigations, same condition
+// evaluations.
 func E17BatchPipeline() Table {
 	t := Table{
 		ID:    "E17",
@@ -44,7 +38,7 @@ func E17BatchPipeline() Table {
 	return t
 }
 
-// batchPipelineRows runs the E13 warm-drain join once per pipeline. A
+// batchPipelineRows runs the E13 warm-drain join once per width. A
 // span sink counts operator stream steps: every "next"/"next[n]" span
 // is one interpreter dispatch through the operator tree (source-
 // boundary spans carry navigation ops, not "next", so they are not
@@ -89,7 +83,7 @@ func batchPipelineRows() [][]string {
 			elapsed, got
 	}
 	s0, e0, n0, _, _, d0, g0 := run(1)
-	s1, e1, n1, bb, bn, d1, g1 := run(batchWidth)
+	s1, e1, n1, bb, bn, d1, g1 := run(core.DefaultBatchSize)
 	same := "yes"
 	if !xmltree.Equal(g0, g1) {
 		same = "NO"

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 	"unsafe"
 
+	"mix/internal/algebra"
 	"mix/internal/nav"
+	"mix/internal/pathexpr"
 	"mix/internal/xmltree"
 )
 
@@ -65,6 +68,66 @@ func TestMaterializeAllocGuard(t *testing.T) {
 	} {
 		if got := materializeBytes(t, tc.tree); got > tc.bound {
 			t.Errorf("materializing %s allocates %d B, bound %d B", tc.name, got, tc.bound)
+		}
+	}
+}
+
+// TestFirstOccurrenceScanLinear pins the Gprev bookkeeping of the scalar
+// distinct and groupBy streams (the evaluator of the cache ablations)
+// to linear cost: draining the output over 2N distinct keys allocates
+// well under 3× the bytes of the drain over N, where a seen set copied
+// at every new key would cost about 4×.
+func TestFirstOccurrenceScanLinear(t *testing.T) {
+	opts := DefaultOptions()
+	opts.GroupCache = false
+	keys := func() algebra.Op {
+		src := &algebra.Source{URL: "s", Var: "R"}
+		k := &algebra.GetDescendants{Input: src, Parent: "R", Path: pathexpr.MustParse("k"), Out: "K"}
+		return &algebra.GetDescendants{Input: k, Parent: "K", Path: pathexpr.MustParse("_"), Out: "V"}
+	}
+	for name, plan := range map[string]func(int) algebra.Op{
+		"distinct": func(n int) algebra.Op {
+			return &algebra.Distinct{Input: &algebra.Project{Input: keys(), Keep: []string{"V"}}}
+		},
+		"groupBy": func(n int) algebra.Op {
+			return &algebra.GroupBy{Input: keys(), By: []string{"V"}, Var: "K", Out: "KS"}
+		},
+	} {
+		drainBytes := func(n int) uint64 {
+			src := xmltree.Elem("r")
+			for i := 0; i < n; i++ {
+				src.Children = append(src.Children, xmltree.Text("k", strconv.Itoa(i)))
+			}
+			best := uint64(math.MaxUint64)
+			for r := 0; r < 3; r++ {
+				e := New(WithOptions(opts))
+				e.Register("s", nav.NewTreeDoc(src))
+				q, err := e.Compile(plan(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				s, err := q.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, err := drain(s)
+				runtime.ReadMemStats(&after)
+				if err != nil || len(all) != n {
+					t.Fatalf("%s: drained %d of %d bindings: %v", name, len(all), n, err)
+				}
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+			return best
+		}
+		const n = 1000
+		one, two := drainBytes(n), drainBytes(2*n)
+		t.Logf("%s: %d keys %d B, %d keys %d B (%.2f×)", name, n, one, 2*n, two, float64(two)/float64(one))
+		if two >= 3*one {
+			t.Errorf("%s: draining %d keys allocates %d B, %d keys %d B (%.2f×, want < 3×)",
+				name, n, one, 2*n, two, float64(two)/float64(one))
 		}
 	}
 }

@@ -38,11 +38,13 @@ import (
 // in batch-sized pulls. Those drains reorder work but never change the
 // set of computations, so answers and navigation totals stay identical.
 //
-// Cursors are linear (consume-once), unlike the persistent scalar
-// streams: replayability is reintroduced only where a consumer actually
-// needs it, by logging batches into an append-only batchLog (the top
-// adapter, the nested-loops inner input, the groupBy input). Everything
-// else runs log-free.
+// Cursors are linear (consume-once), unlike the persistent seq the
+// scalar streams and node lists share (seq.go): replayability is
+// reintroduced only where a consumer actually needs it, by logging
+// batches into an append-only batchLog (the top adapter, the
+// nested-loops inner input, the groupBy input), which the answer
+// boundary and the group value lists read back as seqs. Everything else
+// runs log-free.
 //
 // The batch pipeline serves every configuration with the three operator
 // caches on, at any width; width 1 is one binding per pull. The scalar
@@ -154,7 +156,7 @@ func (l *batchLog) at(i, want int) (*binding, error) {
 }
 
 // lazyLog defers input derivation until a reader first demands a
-// position — the batch counterpart of deferStream+memoizeStream.
+// position — the batch counterpart of memoize(deferSeq(…)).
 type lazyLog struct {
 	in  bbuilder
 	log *batchLog
@@ -194,38 +196,24 @@ func (s logStream) next() (*binding, stream, error) {
 	return b, logStream{log: s.log, pos: s.pos + 1}, nil
 }
 
-// topBatch owns a query's top-level batch pipeline: the compiled
-// bbuilder, the shared log every Document replays, and the predrain
+// topBatch owns a query's top-level batch pipeline: the shared log
+// every Document replays, derived on first demand, and the predrain
 // entry point Materialize uses to force the whole binding list through
 // the pipeline in full batches.
 type topBatch struct {
-	bb    bbuilder
+	in    lazyLog
 	batch int
-	log   *batchLog
-	err   error
-}
-
-func (t *topBatch) force() error {
-	if t.log == nil && t.err == nil {
-		cur, err := t.bb()
-		if err != nil {
-			t.err = err
-		} else {
-			t.log = &batchLog{src: cur}
-		}
-		t.bb = nil
-	}
-	return t.err
 }
 
 // builder adapts the batch pipeline to the scalar stream interface all
 // answer-document machinery consumes.
 func (t *topBatch) builder() builder {
 	return func() (stream, error) {
-		if err := t.force(); err != nil {
+		log, err := t.in.get()
+		if err != nil {
 			return nil, err
 		}
-		return logStream{log: t.log}, nil
+		return logStream{log: log}, nil
 	}
 }
 
@@ -234,12 +222,13 @@ func (t *topBatch) builder() builder {
 // document walk surfaces them at the same position the scalar pipeline
 // would.
 func (t *topBatch) predrain() {
-	if t.force() != nil || t.log.done {
+	log, err := t.in.get()
+	if err != nil || log.done {
 		return
 	}
 	batchPredrain.Add(1)
-	for !t.log.done {
-		if _, err := t.log.at(len(t.log.buf), t.batch); err != nil {
+	for !log.done {
+		if _, err := log.at(len(log.buf), t.batch); err != nil {
 			return
 		}
 	}
@@ -435,7 +424,7 @@ func (e *expandBCursor) fail(err error) ([]*binding, error) {
 
 // chainBCursor concatenates operator outputs (union); each successor is
 // built only after its predecessor is exhausted, like the scalar
-// deferStream right side.
+// deferSeq right side.
 type chainBCursor struct {
 	cur  bcursor
 	rest []bbuilder
@@ -754,7 +743,7 @@ func (c *compiler) compileBFusedLabelScan(gd *algebra.GetDescendants, label stri
 	if err != nil {
 		return nil, err
 	}
-	parent, out := gd.Parent, gd.Out
+	parent, out, match := gd.Parent, gd.Out, labelIs(label)
 	return func() (bcursor, error) {
 		cur, err := in()
 		if err != nil {
@@ -765,7 +754,7 @@ func (c *compiler) compileBFusedLabelScan(gd *algebra.GetDescendants, label stri
 			if err != nil {
 				return nil, err
 			}
-			return fusedScanList(pv, label), nil
+			return fusedScanList(pv, label, match), nil
 		}}, nil
 	}, nil
 }
@@ -845,19 +834,19 @@ func (c *compiler) compileBDistinct(op *algebra.Distinct) (bbuilder, error) {
 // (shared with the scalar compileGetDescendants).
 func matchList(nfa *pathexpr.NFA, dfa *pathexpr.DFA, pv Node) list {
 	if dfa != nil {
-		return dfaMatchList{dfa: dfa, siblings: childrenOf(pv), state: dfa.Start()}
+		return pathWalk[*pathexpr.DFA, int]{a: dfa, siblings: childrenOf(pv), state: dfa.Start()}
 	}
-	return pathMatchList{nfa: nfa, siblings: childrenOf(pv), state: nfa.Start()}
+	return pathWalk[*pathexpr.NFA, pathexpr.StateSet]{a: nfa, siblings: childrenOf(pv), state: nfa.Start()}
 }
 
 // fusedScanList builds the fused σ_label child scan for one parent
 // value (shared with the scalar compileFusedLabelScan): native
-// select(σ) jumps when the parent is source-backed, a plain filtered
-// scan otherwise.
-func fusedScanList(pv Node, label string) list {
+// select(σ) jumps when the parent is source-backed, a plain child scan
+// filtered by match (labelIs(label), built once per operator) otherwise.
+func fusedScanList(pv Node, label string, match func(Node) (bool, error)) list {
 	sb, ok := asSourceBacked(pv)
 	if !ok {
-		return labelFilterList{l: childrenOf(pv), label: label}
+		return filterSeq[Node]{in: childrenOf(pv), pred: match}
 	}
 	doc, id := sb.source()
 	// Probe the select capability once per scan (it is invariant over

@@ -204,7 +204,7 @@ func (e *Engine) compileAt(plan algebra.Op, width int) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.batch = &topBatch{bb: bb, batch: c.batch}
+		q.batch = &topBatch{in: lazyLog{in: bb}, batch: c.batch}
 		q.build = q.batch.builder()
 		return q, nil
 	}
@@ -227,7 +227,7 @@ func (c *compiler) compileTop(p algebra.Op) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb := &topBatch{bb: bb, batch: c.batch}
+		tb := &topBatch{in: lazyLog{in: bb}, batch: c.batch}
 		return tb.builder(), nil
 	}
 	b, err := c.compile(p)
@@ -249,7 +249,7 @@ func memoBuilder(b builder) builder {
 			if e != nil {
 				err = e
 			} else {
-				s = memoizeStream(raw)
+				s = memoize(raw)
 			}
 			done = true
 		}
@@ -338,40 +338,29 @@ func (q *Query) Document() nav.Document {
 // bindingsNode renders the compiled stream as a lazy bs[b[X[…]…]…]
 // tree in plan OutVars order.
 func (q *Query) bindingsNode() Node {
-	vars := q.topVars
-	mk := q.build
-	return NewElem("bs", deferList(func() (list, error) {
+	mk, row := q.build, bindingRow(q.topVars)
+	return NewElem("bs", deferSeq(func() (list, error) {
 		s, err := mk()
 		if err != nil {
 			return nil, err
 		}
-		return bindingList{s: s, vars: vars}, nil
+		return mapSeq[*binding, Node]{in: s, fn: row}, nil
 	}))
 }
 
-// bindingList renders a binding stream as a lazy list of b[…] nodes.
-type bindingList struct {
-	s    stream
-	vars []string
-}
-
-func (l bindingList) next() (Node, list, error) {
-	b, rest, err := l.s.next()
-	if err != nil {
-		return nil, nil, err
-	}
-	if b == nil {
-		return nil, nil, nil
-	}
-	var kids list = emptyList{}
-	for i := len(l.vars) - 1; i >= 0; i-- {
-		v, err := b.node(l.vars[i])
-		if err != nil {
-			return nil, nil, err
+// bindingRow returns the kernel rendering one binding as a b[…] node.
+func bindingRow(vars []string) func(*binding) (Node, error) {
+	return func(b *binding) (Node, error) {
+		var kids list = emptySeq[Node]{}
+		for i := len(vars) - 1; i >= 0; i-- {
+			v, err := b.node(vars[i])
+			if err != nil {
+				return nil, err
+			}
+			kids = consSeq[Node]{head: NewElem(vars[i], singleton(v)), tail: kids}
 		}
-		kids = consList{head: NewElem(l.vars[i], singletonList(v)), tail: kids}
+		return NewElem("b", kids), nil
 	}
-	return NewElem("b", kids), bindingList{s: rest, vars: l.vars}, nil
 }
 
 // Materialize fully evaluates the query and returns the answer tree:
@@ -452,12 +441,12 @@ func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*bindi
 		if err != nil {
 			return nil, err
 		}
-		return mapStream{in: s, fn: fn}, nil
+		return mapSeq[*binding, *binding]{in: s, fn: fn}, nil
 	}, nil
 }
 
 // The per-binding kernels below are the operator bodies shared by the
-// scalar pipeline (one kernel call per mapStream pull) and the batch
+// scalar pipeline (one kernel call per mapSeq pull) and the batch
 // pipeline (one kernel loop per mapBCursor batch, see batch.go).
 
 func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
@@ -467,7 +456,7 @@ func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		return b.with(out, NewElem(xmltree.ListLabel, singletonList(v))), nil
+		return b.with(out, NewElem(xmltree.ListLabel, singleton(v))), nil
 	}
 }
 
@@ -499,7 +488,7 @@ func concatKernel(op *algebra.Concatenate) func(*binding) (*binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		z := NewElem(xmltree.ListLabel, concatList{a: itemsOf(xv), b: itemsOf(yv)})
+		z := NewElem(xmltree.ListLabel, concatSeq[Node]{a: itemsOf(xv), b: itemsOf(yv)})
 		return b.with(out, z), nil
 	}
 }
@@ -563,8 +552,7 @@ func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
 	}
 	varName := op.Var
 	return func() (stream, error) {
-		b := newBinding().with(varName, SourceRoot(doc))
-		return consStream{head: b, tail: emptyStream{}}, nil
+		return singleton(newBinding().with(varName, SourceRoot(doc))), nil
 	}, nil
 }
 
@@ -588,7 +576,7 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, e
 		if err != nil {
 			return nil, err
 		}
-		return flatMapStream{in: s, fn: func(b *binding) (stream, error) {
+		return flatMapSeq[*binding, *binding]{in: s, fn: func(b *binding) (stream, error) {
 			pv, err := b.node(parent)
 			if err != nil {
 				return nil, err
@@ -607,7 +595,8 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, e
 }
 
 // nodeStream turns a lazy node list into a binding stream by extending
-// base with out ↦ node.
+// base with out ↦ node. It is a mapSeq fused with its kernel: the
+// generic map would need a closure over base per expansion.
 type nodeStream struct {
 	l    list
 	base *binding
@@ -622,76 +611,48 @@ func (n nodeStream) next() (*binding, stream, error) {
 	return n.base.with(n.out, h), nodeStream{l: rest, base: n.base, out: n.out}, nil
 }
 
-// pathMatchList lazily enumerates, in document order, the descendants
-// reachable through paths matching the NFA. state is the NFA state set
-// before consuming each sibling's label; subtrees whose state set
+// automaton is what the getDescendants walk steps: the path NFA, or
+// the lazily-determinized DFA built from it under Options.Fingerprints,
+// which is observationally equivalent but steps through memoized
+// transitions and carries an int state id instead of a state set.
+type automaton[S any] interface {
+	Start() S
+	Step(S, string) S
+	Alive(S) bool
+	Accepting(S) bool
+}
+
+// pathWalk lazily enumerates, in document order, the descendants
+// reachable through paths the automaton accepts. state is the automaton
+// state before consuming each sibling's label; subtrees whose state
 // cannot reach acceptance are pruned without exploration.
-type pathMatchList struct {
-	nfa      *pathexpr.NFA
+type pathWalk[A automaton[S], S any] struct {
+	a        A
 	siblings list
-	state    pathexpr.StateSet
+	state    S
 }
 
-func (p pathMatchList) next() (Node, list, error) {
+func (p pathWalk[A, S]) next() (Node, list, error) {
 	sibs := p.siblings
 	for {
 		c, rest, err := sibs.next()
-		if err != nil {
+		if err != nil || rest == nil {
 			return nil, nil, err
-		}
-		if c == nil {
-			return nil, nil, nil
 		}
 		label, err := c.Label()
 		if err != nil {
 			return nil, nil, err
 		}
-		st2 := p.nfa.Step(p.state, label)
-		if p.nfa.Alive(st2) {
-			inner := pathMatchList{nfa: p.nfa, siblings: childrenOf(c), state: st2}
-			var own list = inner
-			if p.nfa.Accepting(st2) {
-				own = consList{head: c, tail: inner}
+		st2 := p.a.Step(p.state, label)
+		if p.a.Alive(st2) {
+			below := concatSeq[Node]{
+				a: pathWalk[A, S]{a: p.a, siblings: childrenOf(c), state: st2},
+				b: pathWalk[A, S]{a: p.a, siblings: rest, state: p.state},
 			}
-			cont := pathMatchList{nfa: p.nfa, siblings: rest, state: p.state}
-			return concatList{a: own, b: cont}.next()
-		}
-		sibs = rest
-	}
-}
-
-// dfaMatchList is pathMatchList over the lazy DFA: identical traversal
-// and output order, but each label transition is a memoized map hit and
-// the carried state is an int id instead of a state-set slice.
-type dfaMatchList struct {
-	dfa      *pathexpr.DFA
-	siblings list
-	state    int
-}
-
-func (p dfaMatchList) next() (Node, list, error) {
-	sibs := p.siblings
-	for {
-		c, rest, err := sibs.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if c == nil {
-			return nil, nil, nil
-		}
-		label, err := c.Label()
-		if err != nil {
-			return nil, nil, err
-		}
-		st2 := p.dfa.Step(p.state, label)
-		if p.dfa.Alive(st2) {
-			inner := dfaMatchList{dfa: p.dfa, siblings: childrenOf(c), state: st2}
-			var own list = inner
-			if p.dfa.Accepting(st2) {
-				own = consList{head: c, tail: inner}
+			if p.a.Accepting(st2) {
+				return c, below, nil
 			}
-			cont := dfaMatchList{dfa: p.dfa, siblings: rest, state: p.state}
-			return concatList{a: own, b: cont}.next()
+			return below.next()
 		}
 		sibs = rest
 	}
@@ -719,7 +680,7 @@ func (c *compiler) compileSelect(op *algebra.Select) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return filterStream{in: s, pred: func(b *binding) (bool, error) {
+		return filterSeq[*binding]{in: s, pred: func(b *binding) (bool, error) {
 			return cond.Eval(b)
 		}}, nil
 	}, nil
@@ -733,18 +694,18 @@ func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label strin
 	if err != nil {
 		return nil, err
 	}
-	parent, out := gd.Parent, gd.Out
+	parent, out, match := gd.Parent, gd.Out, labelIs(label)
 	return func() (stream, error) {
 		s, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return flatMapStream{in: s, fn: func(b *binding) (stream, error) {
+		return flatMapSeq[*binding, *binding]{in: s, fn: func(b *binding) (stream, error) {
 			pv, err := b.node(parent)
 			if err != nil {
 				return nil, err
 			}
-			return nodeStream{l: fusedScanList(pv, label), base: b, out: out}, nil
+			return nodeStream{l: fusedScanList(pv, label, match), base: b, out: out}, nil
 		}}, nil
 	}, nil
 }
@@ -792,27 +753,12 @@ func (s selectScanList) next() (Node, list, error) {
 		selectScanList{doc: s.doc, sel: s.sel, parent: cur, label: s.label, started: true}, nil
 }
 
-// labelFilterList filters a node list by label.
-type labelFilterList struct {
-	l     list
-	label string
-}
-
-func (f labelFilterList) next() (Node, list, error) {
-	l := f.l
-	for {
-		h, rest, err := l.next()
-		if err != nil || h == nil {
-			return nil, nil, err
-		}
-		lab, err := h.Label()
-		if err != nil {
-			return nil, nil, err
-		}
-		if lab == f.label {
-			return h, labelFilterList{l: rest, label: f.label}, nil
-		}
-		l = rest
+// labelIs returns the predicate keeping the nodes labelled label (the
+// fused scan's filter over constructed parents).
+func labelIs(label string) func(Node) (bool, error) {
+	return func(n Node) (bool, error) {
+		l, err := n.Label()
+		return err == nil && l == label, err
 	}
 }
 
@@ -865,9 +811,9 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 		// the sources (the E6 ablation).
 		var cached stream
 		if cache {
-			cached = memoizeStream(deferStream(right))
+			cached = memoize(deferSeq(right))
 		}
-		return flatMapStream{in: ls, fn: func(lb *binding) (stream, error) {
+		return flatMapSeq[*binding, *binding]{in: ls, fn: func(lb *binding) (stream, error) {
 			var rs stream
 			if cache {
 				rs = cached
@@ -878,10 +824,10 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 					return nil, err
 				}
 			}
-			pairs := mapStream{in: rs, fn: func(rb *binding) (*binding, error) {
+			pairs := mapSeq[*binding, *binding]{in: rs, fn: func(rb *binding) (*binding, error) {
 				return merge(lb, rb), nil
 			}}
-			return filterStream{in: pairs, pred: func(b *binding) (bool, error) {
+			return filterSeq[*binding]{in: pairs, pred: func(b *binding) (bool, error) {
 				return cond.Eval(b)
 			}}, nil
 		}}, nil
@@ -897,7 +843,7 @@ func (c *compiler) compileOrderBy(op *algebra.OrderBy) (builder, error) {
 	return func() (stream, error) {
 		// Blocking by definition: the whole input list must be read
 		// before the first output binding exists (unbrowsable).
-		return deferStream(func() (stream, error) {
+		return deferSeq(func() (stream, error) {
 			s, err := in()
 			if err != nil {
 				return nil, err
@@ -910,7 +856,7 @@ func (c *compiler) compileOrderBy(op *algebra.OrderBy) (builder, error) {
 			if err != nil {
 				return nil, err
 			}
-			return sliceStream(sorted), nil
+			return sliceSeq[*binding](sorted), nil
 		}), nil
 	}, nil
 }
@@ -944,7 +890,7 @@ func (c *compiler) compileBinaryConcat(l, r algebra.Op) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return concatStream{a: ls, b: deferStream(rb)}, nil
+		return concatSeq[*binding]{a: ls, b: deferSeq(rb)}, nil
 	}, nil
 }
 
@@ -967,7 +913,7 @@ func (c *compiler) compileDifference(op *algebra.Difference) (builder, error) {
 		// The right input is read in its entirety before the first
 		// left binding can be emitted (unbrowsable on the right).
 		var seen map[string]bool
-		return filterStream{in: ls, pred: func(b *binding) (bool, error) {
+		return filterSeq[*binding]{in: ls, pred: func(b *binding) (bool, error) {
 			if seen == nil {
 				rs, err := rb()
 				if err != nil {
@@ -1003,22 +949,39 @@ func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return distinctStream{in: s, ks: ks, vars: vars, seen: nil}, nil
+		return distinctStream{in: s, ks: ks, vars: vars, first: firstSeen{}}, nil
 	}, nil
 }
 
-// distinctStream keeps first occurrences. The seen set is threaded
-// persistently: each tail carries its own extended copy.
+// firstSeen maps each operator key to the input ordinal of its first
+// occurrence: the one Gprev set a persistent first-occurrence scan
+// (distinct, groupBy) shares across all its positions. Every position
+// is reached by scanning the input from ordinal 0, and replaying a
+// saved tail sees the same keys at the same ordinals, so a key is new
+// at ordinal p exactly when its first occurrence is p.
+type firstSeen map[string]int
+
+func (f firstSeen) isFirst(k string, p int) bool {
+	q, ok := f[k]
+	if !ok {
+		f[k] = p
+		return true
+	}
+	return q == p
+}
+
+// distinctStream keeps first occurrences; pos is the input ordinal of
+// in's head.
 type distinctStream struct {
-	in   stream
-	ks   *keyspace
-	vars []string
-	seen map[string]bool
+	in    stream
+	pos   int
+	ks    *keyspace
+	vars  []string
+	first firstSeen
 }
 
 func (d distinctStream) next() (*binding, stream, error) {
-	in := d.in
-	seen := d.seen
+	in, pos := d.in, d.pos
 	for {
 		h, t, err := in.next()
 		if err != nil || h == nil {
@@ -1028,14 +991,10 @@ func (d distinctStream) next() (*binding, stream, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if !seen[k] {
-			next := make(map[string]bool, len(seen)+1)
-			for s := range seen {
-				next[s] = true
-			}
-			next[k] = true
-			return h, distinctStream{in: t, ks: d.ks, vars: d.vars, seen: next}, nil
+		if d.first.isFirst(k, pos) {
+			return h, distinctStream{in: t, pos: pos + 1, ks: d.ks, vars: d.vars, first: d.first}, nil
 		}
+		pos++
 		in = t
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -408,6 +409,55 @@ func TestUnionDifferenceDistinct(t *testing.T) {
 	}
 }
 
+func TestFirstOccurrenceReplay(t *testing.T) {
+	// The scalar distinct and groupBy streams share one Gprev map across
+	// all their positions: a handle saved before a full drain must still
+	// replay exactly the bindings the drain saw after it, also when the
+	// input is not memoized (GroupCache off re-derives it per replay).
+	src := xmltree.Elem("r")
+	for _, v := range []string{"1", "2", "1", "3", "2", "4"} {
+		src.Children = append(src.Children, xmltree.Text("a", v))
+	}
+	opts := DefaultOptions()
+	opts.GroupCache = false
+	e, _ := engineWith(opts, map[string]*xmltree.Tree{"s": src})
+	gd := &algebra.GetDescendants{Input: &algebra.Source{URL: "s", Var: "R"},
+		Parent: "R", Path: pathexpr.MustParse("a._"), Out: "X"}
+	for name, plan := range map[string]algebra.Op{
+		"distinct": &algebra.Distinct{Input: &algebra.Project{Input: gd, Keep: []string{"X"}}},
+		"groupBy":  &algebra.GroupBy{Input: gd, By: []string{"X"}, Var: "R", Out: "RS"},
+	} {
+		// The operator's own stream, without the query's top-level memo.
+		b, err := (&compiler{e: e, ks: newKeyspace()}).compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := b()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, saved, err := s.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := drain(s)
+		if err != nil || len(all) != 4 {
+			t.Fatalf("%s: drained %d bindings, want 4: %v", name, len(all), err)
+		}
+		rest, err := drain(saved)
+		if err != nil || len(rest) != 3 {
+			t.Fatalf("%s: saved handle replays %d bindings, want 3: %v", name, len(rest), err)
+		}
+		for i, b := range rest {
+			got, _ := b.Value("X")
+			want, _ := all[i+1].Value("X")
+			if got.TextContent() != want.TextContent() {
+				t.Fatalf("%s: replay %d = %v, want %v", name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSelectValueCondition(t *testing.T) {
 	homes, _ := workload.HomesSchools(20, 0, 4, 3)
 	e, _ := engineWith(DefaultOptions(), map[string]*xmltree.Tree{"h": homes})
@@ -636,54 +686,71 @@ func TestTupleDestroyEmptyInput(t *testing.T) {
 }
 
 func TestMemoListStability(t *testing.T) {
-	// Pulling a memoized list twice yields identical nodes and does not
-	// re-pull the inner list.
-	pulls := 0
-	inner := thunkList(func() (Node, list, error) {
-		pulls++
-		return leafNode("x"), emptyList{}, nil
+	t.Run("list", func(t *testing.T) {
+		testMemoSeq(t, func(i int) Node { return leafNode(fmt.Sprint(i)) })
 	})
-	m := memoize(inner)
-	a, _, _ := m.next()
-	b, _, _ := m.next()
-	if pulls != 1 {
-		t.Fatalf("memoized list pulled inner %d times", pulls)
+	t.Run("stream", func(t *testing.T) {
+		testMemoSeq(t, func(i int) *binding { return newBinding().with("X", leafNode(fmt.Sprint(i))) })
+	})
+}
+
+// testMemoSeq checks the memoized sequence for one instantiation: each
+// position of the inner sequence is pulled once however many consumers
+// replay it, the consumers keep independent positions and see the
+// same elements, and memoizing twice is the identity.
+func testMemoSeq[T comparable](t *testing.T, elem func(int) T) {
+	t.Helper()
+	const n = 3
+	pulls := make([]int, n+1)
+	var from func(i int) seq[T]
+	from = func(i int) seq[T] {
+		return thunkSeq[T](func() (T, seq[T], error) {
+			pulls[i]++
+			if i == n {
+				var zero T
+				return zero, nil, nil
+			}
+			return elem(i), from(i + 1), nil
+		})
 	}
-	la, _ := a.Label()
-	lb, _ := b.Label()
-	if la != lb {
-		t.Fatal("memoized results differ")
-	}
+	m := memoize(from(0))
 	if memoize(m) != m {
 		t.Fatal("double memoize should be identity")
+	}
+	// Consumer a reads one element; b then drains the whole sequence
+	// past it; a's saved position still yields its own next element.
+	ha, a, err := m.next()
+	if err != nil || a == nil {
+		t.Fatalf("first pull: %v", err)
+	}
+	all, err := drain(m)
+	if err != nil || len(all) != n {
+		t.Fatalf("drain = %d elements, %v", len(all), err)
+	}
+	if all[0] != ha {
+		t.Fatal("consumers see different heads")
+	}
+	hb, _, err := a.next()
+	if err != nil || hb != all[1] {
+		t.Fatal("consumer a lost its position")
+	}
+	for i, p := range pulls {
+		if p != 1 {
+			t.Fatalf("position %d pulled %d times", i, p)
+		}
 	}
 }
 
 func TestItemsOfListVsValue(t *testing.T) {
-	lst := NewElem("list", consList{head: leafNode("a"), tail: singletonList(leafNode("b"))})
-	items, err := drainList(itemsOf(lst))
+	lst := NewElem("list", consSeq[Node]{head: leafNode("a"), tail: singleton[Node](leafNode("b"))})
+	items, err := drain(itemsOf(lst))
 	if err != nil || len(items) != 2 {
 		t.Fatalf("itemsOf(list): %v %v", items, err)
 	}
 	val := leafNode("v")
-	items, err = drainList(itemsOf(val))
+	items, err = drain(itemsOf(val))
 	if err != nil || len(items) != 1 {
 		t.Fatalf("itemsOf(value): %v %v", items, err)
-	}
-}
-
-func drainList(l list) ([]Node, error) {
-	var out []Node
-	for {
-		h, t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return out, nil
-		}
-		out = append(out, h)
-		l = t
 	}
 }
 

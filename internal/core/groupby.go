@@ -23,22 +23,23 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 	cache := c.e.opts.GroupCache
 	ks := c.ks
 	return func() (stream, error) {
-		input := deferStream(in)
+		input := deferSeq(in)
 		if cache {
-			input = memoizeStream(input)
+			input = memoize(input)
 		}
+		value := valueOf(varName)
 		if len(by) == 0 {
 			// Grouping by {} yields exactly one output binding — even
 			// for empty input ("create one answer element for each
 			// {}") — and it is produced without touching the input:
 			// the grouped list is lazy. This is what lets the mediator
 			// answer f on the answer root with zero source accesses.
-			values := valueList{in: input, varName: varName}
+			values := mapSeq[*binding, Node]{in: input, fn: value}
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, maybeMemo(values, cache)))
-			return consStream{head: b, tail: emptyStream{}}, nil
+			return singleton(b), nil
 		}
-		return groupsStream{in: input, ks: ks, by: by, varName: varName, out: out,
-			seen: nil, cache: cache}, nil
+		return groupsStream{in: input, g: &groupScan{ks: ks, by: by, value: value,
+			out: out, cache: cache, first: firstSeen{}}}, nil
 	}, nil
 }
 
@@ -49,74 +50,59 @@ func maybeMemo(l list, cache bool) list {
 	return l
 }
 
-// valueList renders the varName values of a binding stream as a lazy
-// node list (the contents of a list[…] group value).
-type valueList struct {
-	in      stream
-	varName string
-}
-
-func (v valueList) next() (Node, list, error) {
-	b, rest, err := v.in.next()
-	if err != nil || b == nil {
-		return nil, nil, err
-	}
-	n, err := b.node(v.varName)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, valueList{in: rest, varName: v.varName}, nil
+// valueOf returns the kernel reading varName's lazy value off a
+// binding: mapped over a binding stream, it renders a group's values
+// as the contents of a list[…] value.
+func valueOf(varName string) func(*binding) (Node, error) {
+	return func(b *binding) (Node, error) { return b.node(varName) }
 }
 
 // groupsStream emits one output binding per distinct group-by list, in
-// order of first occurrence. seen is the paper's Gprev; it is extended
-// persistently (each tail carries its own copy) so that saved handles
-// into earlier positions remain valid.
+// order of first occurrence; pos is the input ordinal of in's head.
 type groupsStream struct {
-	in      stream
-	ks      *keyspace
-	by      []string
-	varName string
-	out     string
-	seen    map[string]bool
-	cache   bool
+	in  stream
+	pos int
+	g   *groupScan
 }
 
-func (g groupsStream) next() (*binding, stream, error) {
-	in := g.in
+// groupScan is the state all positions of one groupsStream share; first
+// is the paper's Gprev.
+type groupScan struct {
+	ks    *keyspace
+	by    []string
+	value func(*binding) (Node, error)
+	out   string
+	cache bool
+	first firstSeen
+}
+
+func (gs groupsStream) next() (*binding, stream, error) {
+	g, in, pos := gs.g, gs.in, gs.pos
 	for {
 		b, t, err := in.next()
-		if err != nil {
+		if err != nil || b == nil {
 			return nil, nil, err
-		}
-		if b == nil {
-			return nil, nil, nil
 		}
 		k, err := b.key(g.ks, g.by)
 		if err != nil {
 			return nil, nil, err
 		}
-		if g.seen[k] {
+		first := g.first.isFirst(k, pos)
+		pos++
+		if !first {
 			in = t
 			continue
 		}
 		// New group: its member list starts here and continues through
 		// the remainder of the input with the same group-by list.
-		members := filterStream{in: consStream{head: b, tail: t},
+		members := filterSeq[*binding]{in: consSeq[*binding]{head: b, tail: t},
 			pred: sameKeyPred(g.ks, g.by, k)}
-		values := valueList{in: members, varName: g.varName}
+		values := mapSeq[*binding, Node]{in: members, fn: g.value}
 		// The output binding keeps the group-by variables (sharing the
 		// group head's links, and therefore its memoized values) and
 		// adds the lazy grouped list.
 		ob := b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, maybeMemo(values, g.cache)))
-
-		seen2 := make(map[string]bool, len(g.seen)+1)
-		for s := range g.seen {
-			seen2[s] = true
-		}
-		seen2[k] = true
-		return ob, groupsStream{in: t, ks: g.ks, by: g.by, varName: g.varName,
-			out: g.out, seen: seen2, cache: g.cache}, nil
+		return ob, groupsStream{in: t, pos: pos, g: g}, nil
 	}
 }
 
@@ -148,8 +134,8 @@ func (c *compiler) compileBGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 			// Grouping by {} yields exactly one output binding without
 			// touching the input — the grouped list is lazy, so the
 			// mediator answers f on the answer root with zero source
-			// accesses, exactly like the scalar valueList path.
-			values := memoize(logValueList{in: input, varName: varName})
+			// accesses, exactly like the scalar {} grouping.
+			values := memoize[Node](logValueList{in: input, varName: varName})
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
 			return &sliceBCursor{buf: []*binding{b}}, nil
 		}
@@ -241,7 +227,7 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		// continues through the rest of the log with the same key. The
 		// output binding keeps the group-by variables (sharing the
 		// head's links and memoized values) plus the lazy grouped list.
-		values := memoize(memberList{log: log, pos: head, ks: g.ks,
+		values := memoize[Node](memberList{log: log, pos: head, ks: g.ks,
 			by: g.by, key: k, ck: g.ck, varName: g.varName})
 		g.obuf = append(g.obuf,
 			b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, values)))

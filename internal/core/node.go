@@ -40,100 +40,9 @@ type Node interface {
 	Children() list
 }
 
-// list is a persistent lazy list of Nodes. next returns the head node
-// and the remainder; a nil head signals exhaustion. Implementations
-// must be persistent: calling next repeatedly on the same list value
-// yields the same (observational) result, so multiple consumers can
-// hold independent positions — the paper's "client navigation may
-// proceed from multiple nodes" requirement.
-type list interface {
-	next() (Node, list, error)
-}
-
-// --- empty and cons ---------------------------------------------------------
-
-type emptyList struct{}
-
-func (emptyList) next() (Node, list, error) { return nil, nil, nil }
-
-type consList struct {
-	head Node
-	tail list
-}
-
-func (c consList) next() (Node, list, error) { return c.head, c.tail, nil }
-
-// singletonList returns a list holding exactly v.
-func singletonList(v Node) list { return consList{head: v, tail: emptyList{}} }
-
-// --- deferred lists ---------------------------------------------------------
-
-// thunkList defers list construction until first pull. It is NOT
-// memoized: pulling twice recomputes (and re-navigates). Wrap in
-// memoList for cached semantics.
-type thunkList func() (Node, list, error)
-
-func (t thunkList) next() (Node, list, error) { return t() }
-
-// deferList wraps a list constructor so that construction itself (which
-// may navigate) happens on first pull.
-func deferList(f func() (list, error)) list {
-	return thunkList(func() (Node, list, error) {
-		l, err := f()
-		if err != nil {
-			return nil, nil, err
-		}
-		return l.next()
-	})
-}
-
-// memoList caches the result of a single next() call, so repeated
-// navigation over the same region does not re-navigate sources.
-type memoList struct {
-	inner list
-
-	forced bool
-	head   Node
-	tail   list
-	err    error
-}
-
-func newMemoList(inner list) *memoList { return &memoList{inner: inner} }
-
-func (m *memoList) next() (Node, list, error) {
-	if !m.forced {
-		h, t, err := m.inner.next()
-		m.head, m.err = h, err
-		if t != nil {
-			m.tail = newMemoList(t)
-		}
-		m.forced = true
-		m.inner = nil
-	}
-	return m.head, m.tail, m.err
-}
-
-// memoize wraps l so every position is cached after first pull.
-func memoize(l list) list {
-	if _, ok := l.(*memoList); ok {
-		return l
-	}
-	return newMemoList(l)
-}
-
-// concatList yields all of a, then all of b.
-type concatList struct{ a, b list }
-
-func (c concatList) next() (Node, list, error) {
-	h, t, err := c.a.next()
-	if err != nil {
-		return nil, nil, err
-	}
-	if h == nil {
-		return c.b.next()
-	}
-	return h, concatList{a: t, b: c.b}, nil
-}
+// list is a lazy list of Nodes: children, descendant matches, the
+// contents of list[…] values. A nil remainder signals exhaustion.
+type list = seq[Node]
 
 // --- source-backed nodes ----------------------------------------------------
 
@@ -147,7 +56,7 @@ type srcNode struct {
 func (s srcNode) Label() (string, error) { return s.doc.Fetch(s.id) }
 
 func (s srcNode) Children() list {
-	return thunkList(func() (Node, list, error) {
+	return thunkSeq[Node](func() (Node, list, error) {
 		child, err := s.doc.Down(s.id)
 		if err != nil {
 			return nil, nil, err
@@ -155,7 +64,7 @@ func (s srcNode) Children() list {
 		if child == nil {
 			return nil, nil, nil
 		}
-		return srcFrom{doc: s.doc, id: child}.next()
+		return srcNode{doc: s.doc, id: child}, srcAfter{doc: s.doc, id: child}, nil
 	})
 }
 
@@ -173,16 +82,6 @@ func SourceRoot(doc nav.Document) Node {
 		}
 		return srcNode{doc: doc, id: root}, nil
 	}}
-}
-
-// srcFrom emits the source node id and then its right siblings.
-type srcFrom struct {
-	doc nav.Document
-	id  nav.ID
-}
-
-func (s srcFrom) next() (Node, list, error) {
-	return srcNode{doc: s.doc, id: s.id}, srcAfter(s), nil
 }
 
 // srcAfter emits the right siblings strictly after id.
@@ -221,7 +120,7 @@ func NewElem(label string, kids list) Node { return elemNode{label: label, kids:
 type leafNode string
 
 func (l leafNode) Label() (string, error) { return string(l), nil }
-func (leafNode) Children() list           { return emptyList{} }
+func (leafNode) Children() list           { return emptySeq[Node]{} }
 
 // lazyNode defers resolution of the underlying node until first use —
 // this is how the mediator hands out the answer-root handle without
@@ -256,7 +155,7 @@ func (l *lazyNode) Label() (string, error) {
 }
 
 func (l *lazyNode) Children() list {
-	return deferList(func() (list, error) {
+	return deferSeq(func() (list, error) {
 		n, err := l.force()
 		if err != nil {
 			return nil, err
@@ -377,7 +276,7 @@ func (m *materializer) src(doc nav.Document, id nav.ID) (*xmltree.Tree, error) {
 
 // childrenOf returns the lazy child list of v without navigating yet.
 func childrenOf(v Node) list {
-	return deferList(func() (list, error) { return v.Children(), nil })
+	return thunkSeq[Node](func() (Node, list, error) { return v.Children().next() })
 }
 
 // itemsOf returns the items a value contributes to concatenate/
@@ -385,14 +284,14 @@ func childrenOf(v Node) list {
 // otherwise (Section 3, concatenate/createElement definitions). The
 // label inspection is deferred until first pull.
 func itemsOf(v Node) list {
-	return thunkList(func() (Node, list, error) {
+	return thunkSeq[Node](func() (Node, list, error) {
 		label, err := v.Label()
 		if err != nil {
 			return nil, nil, err
 		}
 		if label == xmltree.ListLabel {
-			return childrenOf(v).next()
+			return v.Children().next()
 		}
-		return singletonList(v).next()
+		return v, emptySeq[Node]{}, nil
 	})
 }

@@ -208,11 +208,11 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 // reuses the engine's own stream operators, so chain conditions and
 // descents evaluate exactly as the from-source pipeline would.
 func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
-	var s stream = consStream{head: newBinding().with(algebra.GroupChainVar, FromTree(root)), tail: emptyStream{}}
+	s := singleton(newBinding().with(algebra.GroupChainVar, FromTree(root)))
 	for _, st := range steps {
 		if st.nfa != nil {
 			parent, out, nfa := st.parent, st.out, st.nfa
-			s = flatMapStream{in: s, fn: func(b *binding) (stream, error) {
+			s = flatMapSeq[*binding, *binding]{in: s, fn: func(b *binding) (stream, error) {
 				pv, err := b.node(parent)
 				if err != nil {
 					return nil, err
@@ -221,7 +221,7 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 			}}
 		} else {
 			cond := st.cond
-			s = filterStream{in: s, pred: func(b *binding) (bool, error) {
+			s = filterSeq[*binding]{in: s, pred: func(b *binding) (bool, error) {
 				return cond.Eval(b)
 			}}
 		}

@@ -159,192 +159,6 @@ func errUnbound(v string) error {
 	return fmt.Errorf("core: unbound variable $%s", v)
 }
 
-// stream is a persistent lazy list of bindings — the operator output
-// "virtual XML answer tree" of Fig. 2, restricted to the binding level.
-// A nil head signals exhaustion. Like list, streams must be persistent.
-type stream interface {
-	next() (*binding, stream, error)
-}
-
-type emptyStream struct{}
-
-func (emptyStream) next() (*binding, stream, error) { return nil, nil, nil }
-
-type consStream struct {
-	head *binding
-	tail stream
-}
-
-func (c consStream) next() (*binding, stream, error) { return c.head, c.tail, nil }
-
-// thunkStream defers (and recomputes on every pull — not memoized).
-type thunkStream func() (*binding, stream, error)
-
-func (t thunkStream) next() (*binding, stream, error) { return t() }
-
-// deferStream wraps a stream constructor.
-func deferStream(f func() (stream, error)) stream {
-	return thunkStream(func() (*binding, stream, error) {
-		s, err := f()
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.next()
-	})
-}
-
-// memoStream caches one pull, giving every consumer the same cheap
-// replay; this is the mechanism behind the paper's operator caches
-// (join inner list, groupBy's Gprev lists, recursive getDescendants).
-type memoStream struct {
-	inner stream
-
-	forced bool
-	head   *binding
-	tail   stream
-	err    error
-}
-
-func newMemoStream(inner stream) *memoStream { return &memoStream{inner: inner} }
-
-func (m *memoStream) next() (*binding, stream, error) {
-	if !m.forced {
-		h, t, err := m.inner.next()
-		m.head, m.err = h, err
-		if t != nil {
-			m.tail = newMemoStream(t)
-		}
-		m.forced = true
-		m.inner = nil
-	}
-	return m.head, m.tail, m.err
-}
-
-func memoizeStream(s stream) stream {
-	if _, ok := s.(*memoStream); ok {
-		return s
-	}
-	return newMemoStream(s)
-}
-
-type concatStream struct{ a, b stream }
-
-func (c concatStream) next() (*binding, stream, error) {
-	h, t, err := c.a.next()
-	if err != nil {
-		return nil, nil, err
-	}
-	if h == nil {
-		return c.b.next()
-	}
-	return h, concatStream{a: t, b: c.b}, nil
-}
-
-// filterStream keeps the bindings satisfying pred.
-type filterStream struct {
-	in   stream
-	pred func(*binding) (bool, error)
-}
-
-func (f filterStream) next() (*binding, stream, error) {
-	in := f.in
-	for {
-		h, t, err := in.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if h == nil {
-			return nil, nil, nil
-		}
-		ok, err := f.pred(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			return h, filterStream{in: t, pred: f.pred}, nil
-		}
-		in = t
-	}
-}
-
-// mapStream transforms each binding.
-type mapStream struct {
-	in stream
-	fn func(*binding) (*binding, error)
-}
-
-func (m mapStream) next() (*binding, stream, error) {
-	h, t, err := m.in.next()
-	if err != nil || h == nil {
-		return nil, nil, err
-	}
-	nb, err := m.fn(h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nb, mapStream{in: t, fn: m.fn}, nil
-}
-
-// flatMapStream expands each input binding into a sub-stream and
-// concatenates the results lazily (the shape of getDescendants and the
-// nested-loops join outer loop).
-type flatMapStream struct {
-	in  stream
-	fn  func(*binding) (stream, error)
-	cur stream // remainder of the current expansion, nil when none
-}
-
-func (f flatMapStream) next() (*binding, stream, error) {
-	cur, in := f.cur, f.in
-	for {
-		if cur != nil {
-			h, t, err := cur.next()
-			if err != nil {
-				return nil, nil, err
-			}
-			if h != nil {
-				return h, flatMapStream{in: in, fn: f.fn, cur: t}, nil
-			}
-			cur = nil
-		}
-		h, t, err := in.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if h == nil {
-			return nil, nil, nil
-		}
-		sub, err := f.fn(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur, in = sub, t
-	}
-}
-
-// drain pulls the whole stream into a slice (used by the blocking
-// operators orderBy and difference, and by tests).
-func drain(s stream) ([]*binding, error) {
-	var out []*binding
-	for {
-		h, t, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return out, nil
-		}
-		out = append(out, h)
-		s = t
-	}
-}
-
-// sliceStream replays a drained slice.
-type sliceStream []*binding
-
-func (s sliceStream) next() (*binding, stream, error) {
-	if len(s) == 0 {
-		return nil, nil, nil
-	}
-	return s[0], s[1:], nil
-}
+// stream is a lazy list of bindings — the operator output "virtual XML
+// answer tree" of Fig. 2, restricted to the binding level.
+type stream = seq[*binding]

@@ -40,17 +40,9 @@ package predict
 import (
 	"sync"
 	"sync/atomic"
-)
 
-// Key identifies one successor table: the same four components as a
-// region-cache key, so model state and cached regions live and die
-// together.
-type Key struct {
-	Generation  uint64
-	Registry    uint64
-	Name        string
-	Fingerprint string
-}
+	"mix/internal/regioncache"
+)
 
 const (
 	// maxDelta is the largest region-index step tracked exactly;
@@ -129,8 +121,8 @@ type Model struct {
 	maxKeys int
 
 	mu    sync.RWMutex
-	tabs  map[Key]*table
-	order []Key // insertion order, for oldest-first bounding
+	tabs  map[regioncache.Key]*table
+	order []regioncache.Key // insertion order, for oldest-first bounding
 
 	observed  atomic.Int64
 	predicted atomic.Int64
@@ -143,11 +135,11 @@ func NewModel(maxKeys int) *Model {
 	if maxKeys <= 0 {
 		maxKeys = DefaultMaxKeys
 	}
-	return &Model{maxKeys: maxKeys, tabs: map[Key]*table{}}
+	return &Model{maxKeys: maxKeys, tabs: map[regioncache.Key]*table{}}
 }
 
 // lookup returns the table for k, creating (and bounding) on demand.
-func (m *Model) lookup(k Key, create bool) *table {
+func (m *Model) lookup(k regioncache.Key, create bool) *table {
 	m.mu.RLock()
 	t := m.tabs[k]
 	m.mu.RUnlock()
@@ -178,7 +170,7 @@ func (m *Model) lookup(k Key, create bool) *table {
 // region `from` (use from = −1 for the answer root, i.e. the session's
 // first engagement — it lands in the same +1 bucket as a sequential
 // advance into region 0, deliberately reinforcing the scan pattern).
-func (m *Model) Observe(k Key, from, to int) {
+func (m *Model) Observe(k regioncache.Key, from, to int) {
 	t := m.lookup(k, true)
 	t.counts[bucket(to-from)].Add(1)
 	t.engages.Add(1)
@@ -191,7 +183,7 @@ func (m *Model) Observe(k Key, from, to int) {
 // ObserveDrill records that a session descended below the top element of
 // its engaged region — the signal that predictions for this key should
 // be drained deep (whole subtree) rather than shallow.
-func (m *Model) ObserveDrill(k Key) {
+func (m *Model) ObserveDrill(k regioncache.Key) {
 	if t := m.lookup(k, false); t != nil {
 		t.drills.Add(1)
 	}
@@ -203,7 +195,7 @@ func (m *Model) ObserveDrill(k Key) {
 // MinSupport observations, when the dominant delta is 0 (the session is
 // already there), or when the predicted index would be negative.
 // Callers compare conf against their own threshold.
-func (m *Model) Predict(k Key, cur int) (next int, deep bool, conf float64, ok bool) {
+func (m *Model) Predict(k regioncache.Key, cur int) (next int, deep bool, conf float64, ok bool) {
 	t := m.lookup(k, false)
 	if t == nil {
 		return 0, false, 0, false

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mix/internal/regioncache"
 )
 
-func key(gen uint64) Key {
-	return Key{Generation: gen, Registry: 1, Name: "homes", Fingerprint: "fp"}
+func key(gen uint64) regioncache.Key {
+	return regioncache.Key{Generation: gen, Registry: 1, Name: "homes", Fingerprint: "fp"}
 }
 
 func TestPredictNeedsSupport(t *testing.T) {
@@ -129,14 +131,14 @@ func TestEvictBelow(t *testing.T) {
 func TestBoundedTables(t *testing.T) {
 	m := NewModel(4)
 	for i := 0; i < 10; i++ {
-		k := Key{Generation: 1, Name: fmt.Sprintf("v%d", i)}
+		k := regioncache.Key{Generation: 1, Name: fmt.Sprintf("v%d", i)}
 		m.Observe(k, 0, 1)
 	}
 	if s := m.Stats(); s.Keys != 4 || s.Evicted != 6 {
 		t.Fatalf("Stats = %+v; want Keys 4, Evicted 6", s)
 	}
 	// The newest keys survive.
-	if _, _, _, ok := m.Predict(Key{Generation: 1, Name: "v0"}, 0); ok {
+	if _, _, _, ok := m.Predict(regioncache.Key{Generation: 1, Name: "v0"}, 0); ok {
 		t.Fatal("oldest key survived bounding")
 	}
 }
@@ -163,7 +165,7 @@ func TestConcurrentObservePredict(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			k := Key{Generation: 1, Name: fmt.Sprintf("v%d", g%4)}
+			k := regioncache.Key{Generation: 1, Name: fmt.Sprintf("v%d", g%4)}
 			for i := 0; i < 2000; i++ {
 				m.Observe(k, i%7, i%7+1)
 				m.Predict(k, i%7)
@@ -178,7 +180,7 @@ func TestConcurrentObservePredict(t *testing.T) {
 		t.Fatalf("Observed = %d; want 16000", s.Observed)
 	}
 	for g := 0; g < 4; g++ {
-		k := Key{Generation: 1, Name: fmt.Sprintf("v%d", g)}
+		k := regioncache.Key{Generation: 1, Name: fmt.Sprintf("v%d", g)}
 		if next, _, _, ok := m.Predict(k, 3); !ok || next != 4 {
 			t.Fatalf("Predict(v%d, 3) = %d, %v; want 4, true", g, next, ok)
 		}

@@ -66,7 +66,7 @@ type prefetcher struct {
 	navs metrics.Counters
 
 	mu      sync.Mutex
-	running map[predict.Key]*specRun
+	running map[regioncache.Key]*specRun
 	pool    []*specEngine // idle spec engines, oldest first; separate from the demand pool
 	closed  bool
 }
@@ -79,7 +79,7 @@ type prefetcher struct {
 // would re-derive regions 0..k (and rebuild any hash index) first.
 type specEngine struct {
 	*pooledEngine
-	key predict.Key
+	key regioncache.Key
 	res *mediator.Result // nil: nothing parked
 }
 
@@ -90,7 +90,7 @@ func newPrefetcher(s *Server) *prefetcher {
 		budget:      s.cfg.PrefetchBudget,
 		conf:        s.cfg.PrefetchConfidence,
 		specFactory: s.cfg.SpecFactory,
-		running:     map[predict.Key]*specRun{},
+		running:     map[regioncache.Key]*specRun{},
 	}
 	if p.budget.MaxNavs == 0 {
 		p.budget.MaxNavs = DefaultPrefetchNavs
@@ -107,19 +107,13 @@ func newPrefetcher(s *Server) *prefetcher {
 	return p
 }
 
-// cacheKey converts a successor-model key back to the cache key it was
-// derived from (the two are field-for-field the same identity).
-func cacheKey(k predict.Key) regioncache.Key {
-	return regioncache.Key{Generation: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
-}
-
 // spawn starts a drain warming region of the view keyed k, compiled
 // from query. At most one drain runs per view key; a second prediction
 // for a busy key is dropped (the running drain is already warming the
 // newer guess or will be re-predicted on the next engagement). Issued
 // and inflight are bumped before the goroutine starts, so a caller that
 // observed the spawn can quiesce by polling inflight down to zero.
-func (p *prefetcher) spawn(k predict.Key, query string, region int, deep bool) bool {
+func (p *prefetcher) spawn(k regioncache.Key, query string, region int, deep bool) bool {
 	if query == "" || region < 0 {
 		return false
 	}
@@ -144,7 +138,7 @@ func (p *prefetcher) spawn(k predict.Key, query string, region int, deep bool) b
 // drain runs one speculative exploration to completion, budget, or
 // cancellation. Errors are swallowed: speculation is advisory, and the
 // demand path it failed to help is untouched.
-func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k predict.Key, query string, region int, deep bool) {
+func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k regioncache.Key, query string, region int, deep bool) {
 	defer func() {
 		cancel()
 		p.mu.Lock()
@@ -167,7 +161,7 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 		// registry moved between prediction and drain — warming under
 		// the new key would be warming a region nobody predicted, so the
 		// hint is simply stale.
-		if res.RegionKey() != cacheKey(k) {
+		if res.RegionKey() != k {
 			return
 		}
 		se.key, se.res = k, res
@@ -189,7 +183,7 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 // the speculative one instantly (the drain notices within one
 // navigation). A drain warming a different region of the same view is
 // left to finish.
-func (p *prefetcher) cancelDemand(k predict.Key, region int) {
+func (p *prefetcher) cancelDemand(k regioncache.Key, region int) {
 	p.mu.Lock()
 	if r, ok := p.running[k]; ok && r.region == region {
 		r.cancel()
@@ -232,7 +226,7 @@ func (p *prefetcher) close() {
 // from Server.acquireEngine: spec checkouts must not move the
 // mix_engine_pool_* gauges, and spec engines carry spec-tagged
 // recorders from birth.
-func (p *prefetcher) acquireSpec(k predict.Key) (*specEngine, error) {
+func (p *prefetcher) acquireSpec(k regioncache.Key) (*specEngine, error) {
 	p.mu.Lock()
 	if len(p.pool) > 0 {
 		i := max(slices.IndexFunc(p.pool, func(se *specEngine) bool { return se.key == k }), 0)
@@ -281,7 +275,7 @@ func (p *prefetcher) releaseSpec(se *specEngine) {
 // maybeHint ships the prediction to the view key's ring owner when this
 // node is clustered and not the owner: the owner's L1 is the cache that
 // will serve the fleet, so that is where the region should warm.
-func (p *prefetcher) maybeHint(k predict.Key, query string, region int, deep bool) {
+func (p *prefetcher) maybeHint(k regioncache.Key, query string, region int, deep bool) {
 	cl := p.srv.cluster
 	if cl == nil || query == "" {
 		return
@@ -326,7 +320,7 @@ func (s *Server) handlePrefetchHint(req vxdp.Request) vxdp.Response {
 	if s.cache == nil || h.Key.Gen != s.cache.Generation() || h.Query == "" || h.Region < 0 {
 		return ok
 	}
-	k := predict.Key{Generation: h.Key.Gen, Registry: h.Key.Registry, Name: h.Key.Name, Fingerprint: h.Key.Fingerprint}
+	k := regioncache.Key{Generation: h.Key.Gen, Registry: h.Key.Registry, Name: h.Key.Name, Fingerprint: h.Key.Fingerprint}
 	p.spawn(k, h.Query, h.Region, h.Deep)
 	return ok
 }

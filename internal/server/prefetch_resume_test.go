@@ -15,7 +15,6 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
-	"mix/internal/predict"
 	"mix/internal/regioncache"
 	"mix/internal/vxdp"
 	"mix/internal/workload"
@@ -61,7 +60,7 @@ type resumeRig struct {
 	homes *xmltree.Tree
 	spec  *metrics.Counters
 	fail  *atomic.Bool
-	key   predict.Key
+	key   regioncache.Key
 }
 
 func newResumeRig(t *testing.T) *resumeRig {
@@ -90,7 +89,7 @@ func newResumeRig(t *testing.T) *resumeRig {
 
 // currentKey compiles resumeQuery on a fresh engine and returns its
 // key under the cache's current generation.
-func (r *resumeRig) currentKey(t *testing.T) predict.Key {
+func (r *resumeRig) currentKey(t *testing.T) regioncache.Key {
 	t.Helper()
 	m, err := r.srv.cfg.SpecFactory(r.srv.cache)
 	if err != nil {
@@ -100,13 +99,12 @@ func (r *resumeRig) currentKey(t *testing.T) predict.Key {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := res.RegionKey()
-	return predict.Key{Generation: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+	return res.RegionKey()
 }
 
 // drain runs one speculative drain to completion and returns the spec
 // source navigations it issued.
-func (r *resumeRig) drain(t *testing.T, k predict.Key, region int) int64 {
+func (r *resumeRig) drain(t *testing.T, k regioncache.Key, region int) int64 {
 	t.Helper()
 	before := r.spec.Navigations()
 	if !r.srv.prefetch.spawn(k, resumeQuery, region, true) {

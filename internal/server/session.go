@@ -13,7 +13,7 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
-	"mix/internal/predict"
+	"mix/internal/regioncache"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
 )
@@ -61,7 +61,7 @@ type session struct {
 	// unresolved predicted region (-1 = none). All session-goroutine
 	// local.
 	geo         map[uint64]nodePos
-	viewKey     predict.Key
+	viewKey     regioncache.Key
 	viewQuery   string
 	lastEngaged int
 	pending     int
@@ -325,14 +325,14 @@ func (s *session) installView(res *mediator.Result, query string) {
 	s.handles = map[uint64]nav.ID{}
 	s.nextH = 0
 	s.geo = nil
-	s.viewKey = predict.Key{}
+	s.viewKey = regioncache.Key{}
 	s.viewQuery = ""
 	s.lastEngaged = -1
 	s.pending = -1
 	if s.srv.prefetch != nil {
 		if k := res.RegionKey(); k.Name != "" {
 			s.geo = map[uint64]nodePos{}
-			s.viewKey = predict.Key{Generation: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+			s.viewKey = k
 			s.viewQuery = query
 		}
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
+	"time"
 	"unsafe"
 
 	"mix/internal/algebra"
@@ -129,5 +131,76 @@ func TestFirstOccurrenceScanLinear(t *testing.T) {
 			t.Errorf("%s: draining %d keys allocates %d B, %d keys %d B (%.2f×, want < 3×)",
 				name, n, one, 2*n, two, float64(two)/float64(one))
 		}
+	}
+}
+
+// TestGroupMemberListsLinear pins the batch groupBy's member lists to
+// linear cost: with two members per group, draining every group's list
+// over 4N bindings takes well under 8× the time over N (4× when
+// linear). Member lists that each re-key the log from their group head
+// to its end cost O(groups × bindings): 16×.
+func TestGroupMemberListsLinear(t *testing.T) {
+	plan := &algebra.GroupBy{Input: &algebra.GetDescendants{
+		Input: &algebra.GetDescendants{Input: &algebra.Source{URL: "s", Var: "R"},
+			Parent: "R", Path: pathexpr.MustParse("k"), Out: "K"},
+		Parent: "K", Path: pathexpr.MustParse("_"), Out: "V"},
+		By: []string{"V"}, Var: "K", Out: "KS"}
+	source := func(n int) *xmltree.Tree {
+		src := xmltree.Elem("r")
+		for i := 0; i < n; i++ {
+			src.Children = append(src.Children, xmltree.Text("k", strconv.Itoa(i/2)))
+		}
+		return src
+	}
+	drainTime := func(src *xmltree.Tree) time.Duration {
+		n := len(src.Children)
+		e := New()
+		e.Register("s", nav.NewTreeDoc(src))
+		q, err := e.Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		start := time.Now()
+		s, err := q.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := drain(s)
+		if err != nil || len(groups) != n/2 {
+			t.Fatalf("drained %d of %d groups: %v", len(groups), n/2, err)
+		}
+		members := 0
+		for _, g := range groups {
+			ks, err := g.node("KS")
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs, err := drain(ks.Children())
+			if err != nil {
+				t.Fatal(err)
+			}
+			members += len(vs)
+		}
+		d := time.Since(start)
+		if members != n {
+			t.Fatalf("%d members over %d bindings", members, n)
+		}
+		return d
+	}
+	// Best of interleaved runs, so a slow spell of the machine hits
+	// both sizes alike, with the collector held off inside the timed
+	// drains (each starts from a collected heap).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 1000
+	small, large := source(n), source(4*n)
+	one, two := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < 7; r++ {
+		one, two = min(one, drainTime(small)), min(two, drainTime(large))
+	}
+	t.Logf("%d bindings %v, %d bindings %v (%.2f×)", n, one, 4*n, two, float64(two)/float64(one))
+	if two >= 8*one {
+		t.Errorf("draining the groups of %d bindings takes %v, of %d bindings %v (%.2f×, want < 8×)",
+			n, one, 4*n, two, float64(two)/float64(one))
 	}
 }

@@ -830,15 +830,6 @@ func (c *compiler) compileBDistinct(op *algebra.Distinct) (bbuilder, error) {
 	}, nil
 }
 
-// matchList builds the lazy descendant-match list for one parent value
-// (shared with the scalar compileGetDescendants).
-func matchList(nfa *pathexpr.NFA, dfa *pathexpr.DFA, pv Node) list {
-	if dfa != nil {
-		return pathWalk[*pathexpr.DFA, int]{a: dfa, siblings: childrenOf(pv), state: dfa.Start()}
-	}
-	return pathWalk[*pathexpr.NFA, pathexpr.StateSet]{a: nfa, siblings: childrenOf(pv), state: nfa.Start()}
-}
-
 // fusedScanList builds the fused σ_label child scan for one parent
 // value (shared with the scalar compileFusedLabelScan): native
 // select(σ) jumps when the parent is source-backed, a plain child scan

@@ -611,53 +611,6 @@ func (n nodeStream) next() (*binding, stream, error) {
 	return n.base.with(n.out, h), nodeStream{l: rest, base: n.base, out: n.out}, nil
 }
 
-// automaton is what the getDescendants walk steps: the path NFA, or
-// the lazily-determinized DFA built from it under Options.Fingerprints,
-// which is observationally equivalent but steps through memoized
-// transitions and carries an int state id instead of a state set.
-type automaton[S any] interface {
-	Start() S
-	Step(S, string) S
-	Alive(S) bool
-	Accepting(S) bool
-}
-
-// pathWalk lazily enumerates, in document order, the descendants
-// reachable through paths the automaton accepts. state is the automaton
-// state before consuming each sibling's label; subtrees whose state
-// cannot reach acceptance are pruned without exploration.
-type pathWalk[A automaton[S], S any] struct {
-	a        A
-	siblings list
-	state    S
-}
-
-func (p pathWalk[A, S]) next() (Node, list, error) {
-	sibs := p.siblings
-	for {
-		c, rest, err := sibs.next()
-		if err != nil || rest == nil {
-			return nil, nil, err
-		}
-		label, err := c.Label()
-		if err != nil {
-			return nil, nil, err
-		}
-		st2 := p.a.Step(p.state, label)
-		if p.a.Alive(st2) {
-			below := concatSeq[Node]{
-				a: pathWalk[A, S]{a: p.a, siblings: childrenOf(c), state: st2},
-				b: pathWalk[A, S]{a: p.a, siblings: rest, state: p.state},
-			}
-			if p.a.Accepting(st2) {
-				return c, below, nil
-			}
-			return below.next()
-		}
-		sibs = rest
-	}
-}
-
 func (c *compiler) compileSelect(op *algebra.Select) (builder, error) {
 	// Fusion: a label selection directly over a one-step wildcard
 	// getDescendants is served with the select(σ) source command when

@@ -117,10 +117,10 @@ func sameKeyPred(ks *keyspace, by []string, key string) func(*binding) (bool, er
 }
 
 // compileBGroupBy is the batch-mode groupBy. The input flows once into
-// a shared batchLog; the group scan and every group's member list are
-// positions into that log, so the grouped value lists stay lazy (and
-// memoized — GroupCache is implied by batch mode) while ingest happens
-// a batch at a time.
+// a shared batchLog, keyed once per position by a groupIndex; the group
+// scan and every group's member list are positions into that index, so
+// the grouped value lists stay lazy (and memoized — GroupCache is
+// implied by batch mode) while ingest happens a batch at a time.
 func (c *compiler) compileBGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 	in, err := c.compileB(op.Input)
 	if err != nil {
@@ -139,9 +139,8 @@ func (c *compiler) compileBGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
 			return &sliceBCursor{buf: []*binding{b}}, nil
 		}
-		return &groupsBCursor{in: input, ks: ks, by: by,
-			ck: strings.Join(by, "\x01"), varName: varName, out: out,
-			seen: map[string]bool{}}, nil
+		ix := &groupIndex{ks: ks, by: by, ck: strings.Join(by, "\x01"), tail: map[string]int{}}
+		return &groupsBCursor{in: input, ix: ix, varName: varName, out: out}, nil
 	}, nil
 }
 
@@ -172,18 +171,59 @@ func (v logValueList) next() (Node, list, error) {
 	return n, logValueList{in: v.in, varName: v.varName, pos: v.pos + 1}, nil
 }
 
+// groupIndex keys a batch groupBy's input log, each position once and
+// in log order, so the keyed positions are always a prefix of the log
+// (keying materializes the group-by values, and that order is what the
+// navigation counts see). Each keyed position records whether it heads
+// its group and the next keyed position with the same key: the
+// successor chain a member list steps along, instead of re-keying the
+// log from its group head.
+type groupIndex struct {
+	log   *batchLog // set by the group scan's first pull
+	ks    *keyspace
+	by    []string
+	ck    string
+	keyed []groupPos
+	tail  map[string]int // key → its last keyed position
+}
+
+type groupPos struct {
+	head bool
+	next int // next keyed position with the same key; 0 = none yet
+}
+
+// extend keys the first unkeyed position, growing the log with a
+// want-sized pull if it has run out. It reports false at the end of
+// the input, with the log's memoized error or a keying error; a failed
+// keying is retried by the next call.
+func (ix *groupIndex) extend(want int) (bool, error) {
+	i := len(ix.keyed)
+	b, err := ix.log.at(i, want)
+	if b == nil {
+		return false, err
+	}
+	k, err := b.keyCached(ix.ck, ix.ks, ix.by)
+	if err != nil {
+		return false, err
+	}
+	last, seen := ix.tail[k]
+	if seen {
+		ix.keyed[last].next = i
+	}
+	ix.tail[k] = i
+	ix.keyed = append(ix.keyed, groupPos{head: !seen})
+	return true, nil
+}
+
 // groupsBCursor emits one output binding per distinct group-by list, in
-// order of first occurrence, scanning the shared input log a batch per
-// call and keying with the joined variable list precomputed.
+// order of first occurrence, extending the shared index a batch per
+// call.
 type groupsBCursor struct {
 	in      *lazyLog
-	ks      *keyspace
-	by      []string
-	ck      string
+	ix      *groupIndex
 	varName string
 	out     string
 	pos     int
-	seen    map[string]bool
 	obuf    []*binding
 	err     error
 }
@@ -201,36 +241,36 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		}
 		return nil, err
 	}
-	log, err := g.in.get()
-	if err != nil {
-		return fail(err)
+	if g.ix.log == nil {
+		log, err := g.in.get()
+		if err != nil {
+			return fail(err)
+		}
+		g.ix.log = log
 	}
 	for len(g.obuf) < want {
-		b, err := log.at(g.pos, want)
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		k, err := b.keyCached(g.ck, g.ks, g.by)
-		if err != nil {
-			return fail(err)
+		if g.pos == len(g.ix.keyed) {
+			ok, err := g.ix.extend(want)
+			if err != nil {
+				return fail(err)
+			}
+			if !ok {
+				break
+			}
 		}
 		head := g.pos
 		g.pos++
-		if g.seen[k] {
+		if !g.ix.keyed[head].head {
 			continue
 		}
-		g.seen[k] = true
 		// New group: its member list starts at the group head and
-		// continues through the rest of the log with the same key. The
-		// output binding keeps the group-by variables (sharing the
-		// head's links and memoized values) plus the lazy grouped list.
-		values := memoize[Node](memberList{log: log, pos: head, ks: g.ks,
-			by: g.by, key: k, ck: g.ck, varName: g.varName})
+		// follows the head's successor chain. The output binding keeps
+		// the group-by variables (sharing the head's links and memoized
+		// values) plus the lazy grouped list.
+		b := g.ix.log.buf[head]
+		values := memoize[Node](memberList{ix: g.ix, pos: head, head: true, varName: g.varName})
 		g.obuf = append(g.obuf,
-			b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, values)))
+			b.project(g.ix.by).with(g.out, NewElem(xmltree.ListLabel, values)))
 	}
 	if len(g.obuf) > 0 {
 		return g.obuf, nil
@@ -239,40 +279,31 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 }
 
 // memberList is one group's lazy value list: the varName values of the
-// log positions from the group head onward whose group-by key matches.
+// positions on its key's successor chain. pos is the group head, not
+// yet emitted, when head is set, else the last member emitted; the
+// successor is found on pull, keying positions only past the keyed
+// prefix.
 type memberList struct {
-	log     *batchLog
+	ix      *groupIndex
 	pos     int
-	ks      *keyspace
-	by      []string
-	key     string
-	ck      string
+	head    bool
 	varName string
 }
 
 func (m memberList) next() (Node, list, error) {
 	pos := m.pos
-	for {
-		b, err := m.log.at(pos, 1)
-		if err != nil {
-			return nil, nil, err
+	if !m.head {
+		for m.ix.keyed[pos].next == 0 {
+			ok, err := m.ix.extend(1)
+			if !ok {
+				return nil, nil, err
+			}
 		}
-		if b == nil {
-			return nil, nil, nil
-		}
-		k, err := b.keyCached(m.ck, m.ks, m.by)
-		if err != nil {
-			return nil, nil, err
-		}
-		pos++
-		if k != m.key {
-			continue
-		}
-		n, err := b.node(m.varName)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, memberList{log: m.log, pos: pos, ks: m.ks, by: m.by,
-			key: m.key, ck: m.ck, varName: m.varName}, nil
+		pos = m.ix.keyed[pos].next
 	}
+	n, err := m.ix.log.buf[pos].node(m.varName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return n, memberList{ix: m.ix, pos: pos, varName: m.varName}, nil
 }

@@ -33,6 +33,7 @@ type DFA struct {
 	states []dfaState
 	index  map[string]int // StateSet.Key() → state id
 	dead   int            // id of the empty-set state
+	start  int            // id of the start state; immutable after NewDFA
 }
 
 type dfaState struct {
@@ -66,6 +67,9 @@ func NewDFA(nfa *NFA, in *xmltree.Interner) *DFA {
 	// there, and Alive reports false, so pruned descents short-circuit
 	// without touching the cache.
 	d.dead = d.addLocked(StateSet{})
+	// The start state is materialized up front: the descent asks for it
+	// once per parent binding, and it never changes.
+	d.start = d.addLocked(nfa.Start())
 	return d
 }
 
@@ -88,12 +92,9 @@ func (d *DFA) addLocked(set StateSet) int {
 	return id
 }
 
-// Start returns the id of the start state.
-func (d *DFA) Start() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.addLocked(d.nfa.Start())
-}
+// Start returns the id of the start state. It takes no lock and
+// allocates nothing.
+func (d *DFA) Start() int { return d.start }
 
 // Step consumes one label and returns the id of the resulting state.
 func (d *DFA) Step(state int, label string) int {

@@ -51,6 +51,39 @@ func TestDFAStatewiseEquivalence(t *testing.T) {
 	}
 }
 
+// TestDFAStartPrecomputed pins the start state to construction: the
+// getDescendants descent asks for it once per parent binding, so Start
+// must neither allocate nor materialize states, and it must be safe to
+// call concurrently without the lock.
+func TestDFAStartPrecomputed(t *testing.T) {
+	nfa := Compile(MustParse("(a|b)*.zip._"))
+	dfa := NewDFA(nfa, nil)
+	if got := dfa.Size(); got != 2 {
+		t.Fatalf("after NewDFA: %d states, want 2 (dead and start)", got)
+	}
+	start := dfa.Start()
+	if allocs := testing.AllocsPerRun(100, func() { start = dfa.Start() }); allocs != 0 {
+		t.Fatalf("Start allocates %.1f objects per call, want 0", allocs)
+	}
+	if dfa.Size() != 2 || !dfa.Alive(start) || dfa.Accepting(start) != nfa.Accepting(nfa.Start()) {
+		t.Fatalf("start state %d disagrees with the NFA start set", start)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if s := dfa.Start(); s != start || !dfa.Matches([]string{"a", "zip", "1"}) {
+					t.Errorf("concurrent Start = %d, want %d", s, start)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestDFACachesTransitions(t *testing.T) {
 	nfa := Compile(MustParse("a*.x"))
 	dfa := NewDFA(nfa, nil)
